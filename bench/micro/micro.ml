@@ -2,11 +2,11 @@
 
    Wall-clock (ns/op) and minor-heap allocation (words/op, via
    [Gc.minor_words] — exact, not sampled) for the kernels the schedulers
-   spend their time in: work-cost evaluation, the makespan bisection
-   (cold/warm, with and without a reusable workspace), the speedup-aware
-   refinement against its kept pre-overhaul reference, and the
-   persistent warm partition against the sort-from-scratch reference and
-   the cold eviction loop.
+   spend their time in: work-cost evaluation, the makespan root-finder
+   (both entries: the paper's cold bisection with and without a reusable
+   workspace, the online entry's Illinois refinement), the
+   speedup-aware refinement against its kept pre-overhaul reference, and
+   the cold eviction-loop partition.
 
    Writes BENCH_solver.json (override with --out) and validates the
    emitted JSON.  --smoke shrinks repetitions for CI (`dune build
@@ -81,9 +81,9 @@ let apps =
 let subset = Online.Incremental.cold_partition ~platform apps
 let x_star = Theory.Dominant.cache_allocation_capped ~platform ~apps subset
 
-(* Progress-drift snapshots for the partition benchmarks: each snapshot
-   rescales works app-by-app (differentially, so the ratio order really
-   churns between consecutive events, exercising the adaptive sort). *)
+(* Progress-drift snapshots for the partition benchmark: each snapshot
+   rescales works app-by-app, differentially, so consecutive solves see
+   a different ratio order. *)
 let n_snapshots = 8
 
 let snapshots =
@@ -154,45 +154,46 @@ let bench_solve () =
         sink := !sink +. k;
         k)
   in
-  let k_star = Sched.Equalize.solve_makespan ~ws ~platform ~apps x_star in
-  let warm_ws =
-    measure ~name:"solve_makespan/warm-ws" ~reps:5_000 (fun () ->
-        let k =
-          Sched.Equalize.solve_makespan ~warm:k_star ~ws ~platform ~apps x_star
-        in
-        sink := !sink +. k;
-        k)
-  in
-  (cold_fresh, cold_ws, warm_ws)
+  (cold_fresh, cold_ws)
 
-(* Per-evaluation allocation in the workspace path: a looser tolerance
-   runs materially fewer bisection evaluations, so equal words/solve at
-   both tolerances proves the per-evaluation allocation is zero (the
-   small constant is the solve's own state record and closures). *)
-let bench_zero_alloc () =
-  let ws = Sched.Workspace.create ~n:n_apps () in
+(* Per-evaluation allocation of both root-finder entries: a looser
+   tolerance runs materially fewer objective evaluations, so equal
+   words/solve at both tolerances proves the per-evaluation allocation
+   is zero (the small constant is the solve's own state record and
+   closures).  The paper entry runs through a workspace, the online
+   entry on preallocated columns as the service calls it. *)
+type alloc_gate = {
+  tight : sample;
+  loose : sample;
+  iters_tight : int;
+  iters_loose : int;
+}
+
+let alloc_gate ~name solve =
   let iters_at tol =
     let iters = ref 0 in
-    ignore (Sched.Equalize.solve_makespan ~tol ~iters ~ws ~platform ~apps x_star);
+    ignore (solve ~tol ~iters);
     !iters
   in
-  let tight =
-    measure ~name:"solve_makespan/ws-tol-1e-13" ~reps:5_000 (fun () ->
-        let k =
-          Sched.Equalize.solve_makespan ~tol:1e-13 ~ws ~platform ~apps x_star
-        in
+  let run tol =
+    measure ~name:(Printf.sprintf "%stol-%g" name tol) ~reps:5_000 (fun () ->
+        let k = solve ~tol ~iters:(ref 0) in
         sink := !sink +. k;
         k)
   in
-  let loose =
-    measure ~name:"solve_makespan/ws-tol-1e-6" ~reps:5_000 (fun () ->
-        let k =
-          Sched.Equalize.solve_makespan ~tol:1e-6 ~ws ~platform ~apps x_star
-        in
-        sink := !sink +. k;
-        k)
-  in
-  (tight, loose, iters_at 1e-13, iters_at 1e-6)
+  let tight = run 1e-13 in
+  let loose = run 1e-6 in
+  { tight; loose; iters_tight = iters_at 1e-13; iters_loose = iters_at 1e-6 }
+
+let bench_zero_alloc () =
+  let ws = Sched.Workspace.create ~n:n_apps () in
+  let s = Array.map (fun app -> app.Model.App.s) apps in
+  let costs = Sched.Equalize.work_costs ~platform ~apps ~x:x_star in
+  ( alloc_gate ~name:"solve_makespan/ws-" (fun ~tol ~iters ->
+        Sched.Equalize.solve_makespan ~tol ~iters ~ws ~platform ~apps x_star),
+    alloc_gate ~name:"solve_cols/" (fun ~tol ~iters ->
+        Sched.Equalize.solve_cols ~tol ~iters ~platform ~s ~costs ~n:n_apps ())
+  )
 
 (* --- 3. refinement vs the kept naive reference ------------------------- *)
 
@@ -212,93 +213,17 @@ let bench_refine () =
   in
   (reference, optimized)
 
-(* --- 4. warm partition ------------------------------------------------- *)
-
-(* The pre-overhaul warm path, reproduced as the measured baseline: boxed
-   (ratio, weight, index) entries rebuilt and [Array.sort]ed from scratch
-   on every event. *)
-let resort_reference =
-  let prev_boundary = ref 0 in
-  fun (apps : Model.App.t array) ->
-    let n = Array.length apps in
-    let entries =
-      Array.init n (fun i ->
-          ( Theory.Dominant.ratio ~platform apps.(i),
-            Theory.Dominant.weight ~platform apps.(i),
-            i ))
-    in
-    Array.sort
-      (fun (r1, _, i1) (r2, _, i2) ->
-        match Float.compare r1 r2 with 0 -> Int.compare i1 i2 | cmp -> cmp)
-      entries;
-    let suffix = Array.make (n + 1) 0. in
-    for k = n - 1 downto 0 do
-      let _, w, _ = entries.(k) in
-      suffix.(k) <- suffix.(k + 1) +. w
-    done;
-    let dominant_at k =
-      k >= n
-      ||
-      let r, _, _ = entries.(k) in
-      r > suffix.(k)
-    in
-    let b = ref (min (max !prev_boundary 0) n) in
-    while !b > 0 && dominant_at (!b - 1) do
-      decr b
-    done;
-    while not (dominant_at !b) do
-      incr b
-    done;
-    prev_boundary := !b;
-    let subset = Array.make n false in
-    for k = !b to n - 1 do
-      let _, _, i = entries.(k) in
-      subset.(i) <- true
-    done;
-    subset
+(* --- 4. cold partition ------------------------------------------------- *)
 
 let bench_partition () =
-  let inc = Online.Incremental.create () in
   let cursor = ref 0 in
-  let persistent =
-    measure ~name:"warm_partition/persistent" ~reps:20_000 (fun () ->
-        let j = !cursor in
-        cursor := (j + 1) mod n_snapshots;
-        let s =
-          Online.Incremental.warm_partition inc ~platform ~apps:snapshots.(j)
-        in
-        sink := !sink +. (if s.(0) then 1. else 0.);
-        s)
-  in
-  let cursor = ref 0 in
-  let resort =
-    measure ~name:"warm_partition/resort-ref" ~reps:20_000 (fun () ->
-        let j = !cursor in
-        cursor := (j + 1) mod n_snapshots;
-        let s = resort_reference snapshots.(j) in
-        sink := !sink +. (if s.(0) then 1. else 0.);
-        s)
-  in
-  let cursor = ref 0 in
-  let cold =
-    measure ~name:"cold_partition/eviction-loop" ~reps:2_000 (fun () ->
-        let j = !cursor in
-        cursor := (j + 1) mod n_snapshots;
-        let s = Online.Incremental.cold_partition ~platform snapshots.(j) in
-        sink := !sink +. (if s.(0) then 1. else 0.);
-        s)
-  in
-  (* The three constructions must agree before their timings mean
-     anything. *)
-  let inc2 = Online.Incremental.create () in
-  Array.iter
-    (fun apps ->
-      let w = Online.Incremental.warm_partition inc2 ~platform ~apps in
-      let c = Online.Incremental.cold_partition ~platform apps in
-      let r = resort_reference apps in
-      if w <> c || w <> r then failwith "warm/cold/resort partitions disagree")
-    snapshots;
-  (persistent, resort, cold)
+  ignore
+    (measure ~name:"cold_partition/eviction-loop" ~reps:2_000 (fun () ->
+         let j = !cursor in
+         cursor := (j + 1) mod n_snapshots;
+         let s = Online.Incremental.cold_partition ~platform snapshots.(j) in
+         sink := !sink +. (if s.(0) then 1. else 0.);
+         s))
 
 (* --- 5. columnar arrival path ------------------------------------------ *)
 
@@ -404,14 +329,14 @@ let validate_json text =
 
 let () =
   let direct, kernel = bench_work_cost () in
-  let cold_fresh, cold_ws, warm_ws = bench_solve () in
-  let tight, loose, iters_tight, iters_loose = bench_zero_alloc () in
+  let cold_fresh, cold_ws = bench_solve () in
+  let paper, cols = bench_zero_alloc () in
   let reference, optimized = bench_refine () in
-  let persistent, resort, cold = bench_partition () in
+  bench_partition ();
   let arrival_small, arrival_big = bench_arrival_alloc () in
   let seq3k, shd3k, sharded_same = bench_sharded_solve () in
   let refine_speedup = reference.ns_per_op /. optimized.ns_per_op in
-  let alloc_gap = tight.minor_words_per_op -. loose.minor_words_per_op in
+  let gap g = g.tight.minor_words_per_op -. g.loose.minor_words_per_op in
   (* Constant words per arrival at a 20x live-set gap ==> the columnar
      admission path never touches O(live) memory. *)
   let arrival_gap = arrival_big -. arrival_small in
@@ -419,18 +344,18 @@ let () =
   (* Equal allocation at ~2x different evaluation counts ==> zero words
      per evaluation.  Sub-word slack absorbs the measurement scaffolding
      (the [Gc.minor ()] call's own boxes amortised over the reps). *)
-  let zero_alloc = iters_tight > iters_loose && Float.abs alloc_gap < 1. in
+  let zero_alloc g = g.iters_tight > g.iters_loose && Float.abs (gap g) < 1. in
   let derived =
     [
       ("work_cost_speedup_vs_exec_model", direct.ns_per_op /. kernel.ns_per_op);
       ("solve_cold_ws_speedup_vs_fresh", cold_fresh.ns_per_op /. cold_ws.ns_per_op);
-      ("solve_warm_speedup_vs_cold", cold_ws.ns_per_op /. warm_ws.ns_per_op);
       ("refine_speedup_vs_reference", refine_speedup);
-      ("warm_partition_speedup_vs_resort", resort.ns_per_op /. persistent.ns_per_op);
-      ("warm_partition_speedup_vs_cold", cold.ns_per_op /. persistent.ns_per_op);
-      ("solver_iters_tol13", float_of_int iters_tight);
-      ("solver_iters_tol6", float_of_int iters_loose);
-      ("solver_alloc_words_gap", alloc_gap);
+      ("solver_iters_tol13", float_of_int paper.iters_tight);
+      ("solver_iters_tol6", float_of_int paper.iters_loose);
+      ("solver_alloc_words_gap", gap paper);
+      ("solve_cols_iters_tol13", float_of_int cols.iters_tight);
+      ("solve_cols_iters_tol6", float_of_int cols.iters_loose);
+      ("solve_cols_alloc_words_gap", gap cols);
       ("arrival_words_live96", arrival_small);
       ("arrival_words_live1920", arrival_big);
       ("arrival_words_gap", arrival_gap);
@@ -449,7 +374,9 @@ let () =
         "],\"derived\":{";
         String.concat ","
           (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%.6g" k v) derived);
-        Printf.sprintf "},\"zero_alloc_per_bisection_eval\":%b," zero_alloc;
+        Printf.sprintf "},\"zero_alloc_per_bisection_eval\":%b,"
+          (zero_alloc paper);
+        Printf.sprintf "\"zero_alloc_per_solve_cols_eval\":%b," (zero_alloc cols);
         Printf.sprintf "\"arrival_alloc_constant\":%b," arrival_const;
         Printf.sprintf "\"sharded_solve_bit_identical\":%b" sharded_same;
         "}";
@@ -459,13 +386,16 @@ let () =
   let oc = open_out !out in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
   Printf.printf "wrote %s (valid JSON; sink=%h)\n" !out !sink;
-  if not zero_alloc then begin
-    Printf.eprintf
-      "FAIL: bisection allocates per evaluation (%.2f words gap, %d vs %d \
-       evals)\n"
-      alloc_gap iters_tight iters_loose;
-    exit 1
-  end;
+  List.iter
+    (fun (entry, g) ->
+      if not (zero_alloc g) then begin
+        Printf.eprintf
+          "FAIL: %s allocates per evaluation (%.2f words gap, %d vs %d \
+           evals)\n"
+          entry (gap g) g.iters_tight g.iters_loose;
+        exit 1
+      end)
+    [ ("solve_makespan", paper); ("solve_cols", cols) ];
   if not arrival_const then begin
     Printf.eprintf
       "FAIL: columnar arrival cost scales with the live set (%.2f vs %.2f \

@@ -1,9 +1,39 @@
-module Pool = Pool
 module Digest = Digest
 module Cache = Cache
 module Journal = Journal
 module Fault = Fault
 module Watchdog = Watchdog
+
+let m_trials =
+  Obs.Metrics.counter ~help:"trials executed by the worker pool" "pool.trials"
+
+let m_trial_us =
+  Obs.Metrics.histogram ~help:"trial wall time, in microseconds"
+    "pool.trial_us"
+
+let m_errors =
+  Obs.Metrics.counter ~help:"trials that raised an exception"
+    "pool.trial_errors"
+
+(* Per-trial probes around the pooled function.  Worker domains record
+   spans under their own tid, so a traced campaign shows one lane per
+   pool worker in the Chrome trace viewer.  The pool captures exceptions
+   per input slot, so the error metric is recorded here and the
+   exception re-raised with its original backtrace. *)
+let instrument f x =
+  if not (Obs.Probe.on ()) then f x
+  else begin
+    let sp = Obs.Span.start "campaign.trial" in
+    let t0 = Obs.Clock.now_ns () in
+    let r = try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+    Obs.Metrics.observe m_trial_us (Obs.Clock.elapsed_us ~since:t0);
+    Obs.Metrics.incr m_trials;
+    (match r with Error _ -> Obs.Metrics.incr m_errors | Ok _ -> ());
+    Obs.Span.stop sp;
+    match r with
+    | Ok v -> v
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  end
 
 type failure = { attempts : int; error : string; backtrace : string }
 
@@ -80,7 +110,7 @@ let run ?(jobs = 1) ?cache ?journal ?on_trial ?(on_failure = `Abort)
     ?(max_retries = 2) ?trial_timeout ?fault ~key ~work rngs =
   let start = Unix.gettimeofday () in
   let total = Array.length rngs in
-  let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
+  let jobs = if jobs <= 0 then Exec.Pool.default_jobs () else jobs in
   let keyed = Option.is_some cache || Option.is_some journal in
   let lock = Mutex.create () in
   let completed = ref 0 in
@@ -176,7 +206,9 @@ let run ?(jobs = 1) ?cache ?journal ?on_trial ?(on_failure = `Abort)
       f ~completed:c ~total);
     outcome
   in
-  let body () = Pool.map_ordered ~jobs solve (Array.init total Fun.id) in
+  let body () =
+    Exec.Pool.map_ordered ~jobs (instrument solve) (Array.init total Fun.id)
+  in
   let outcomes =
     match fault with None -> body () | Some f -> Fault.with_harness f body
   in

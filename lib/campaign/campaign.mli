@@ -2,7 +2,7 @@
     fault-tolerant trials.
 
     A campaign is an array of independent trials, each owning a pre-split
-    {!Util.Rng} substream.  {!run} shards the trials over a {!Pool} of
+    {!Util.Rng} substream.  {!run} shards the trials over an {!Exec.Pool} of
     worker domains, consults the {!Journal} (checkpoint of a previous,
     possibly interrupted, run) and the {!Cache} (memo table) before
     computing anything, checkpoints every freshly computed result, and
@@ -26,7 +26,6 @@
     [jobs] count — and under an armed fault harness, for any [jobs] count
     with the same injected-fault schedule. *)
 
-module Pool : module type of Pool
 module Digest : module type of Digest
 module Cache : module type of Cache
 module Journal : module type of Journal
@@ -97,7 +96,7 @@ val run :
     never mutated, so a campaign can be re-run from the same RNGs).
 
     [jobs] is the worker-domain count: 1 (default) runs sequentially in
-    the calling domain, [0] means {!Pool.default_jobs}.
+    the calling domain, [0] means {!Exec.Pool.default_jobs}.
 
     [key i rng] must name the trial's content (see {!Digest}); it is only
     invoked — on its own RNG copy — when a cache or journal is present.

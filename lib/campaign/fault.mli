@@ -7,8 +7,8 @@
     identity (trial index, store key), never of wall-clock time or worker
     interleaving.  The same harness therefore injects byte-for-byte the
     same faults at any [--jobs] count, which is what makes the failure
-    paths of {!Pool}, {!Cache}, {!Journal} and {!Campaign} testable and
-    bit-reproducible.
+    paths of the trial pool, {!Cache}, {!Journal} and {!Campaign}
+    testable and bit-reproducible.
 
     Arm a harness with {!with_harness} (or [Campaign.run ~fault]); the
     instrumentation points below are no-ops while nothing is armed, so

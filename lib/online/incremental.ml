@@ -92,7 +92,7 @@ let cold_partition ?counters ~platform apps =
   Sched.Partition_builder.build ?ops Sched.Partition_builder.Dominant
     Sched.Choice.MinRatio ~rng:(Lazy.force dummy_rng) ~platform ~apps
 
-(* --- warm path: maximal dominant suffix in ratio order ----------------- *)
+(* --- warm partition: maximal dominant suffix in ratio order ------------ *)
 
 let ensure_capacity t n =
   if Array.length t.ratio < n then begin
@@ -116,9 +116,7 @@ let ensure_capacity t n =
    filled for positions 0..n-1, repair the carried permutation, restore
    sortedness, rebuild suffix sums and walk the dominant boundary.
    Returns the boundary [b]: sorted positions [b..n-1] are the maximal
-   dominant suffix.  Both the apps-based [warm_partition] and the
-   columnar [solve_state] funnel through this, so the two paths run the
-   same partition arithmetic on the same buffers. *)
+   dominant suffix. *)
 let warm_boundary t ~n =
   let c = t.counters in
   let ratio = t.ratio and weightv = t.weight and order = t.order in
@@ -224,33 +222,6 @@ let warm_boundary t ~n =
   t.prev_boundary <- !b;
   !b
 
-let warm_partition t ~platform ~apps =
-  let c = t.counters in
-  let n = Array.length apps in
-  ensure_capacity t n;
-  let ratio = t.ratio and weightv = t.weight in
-  let alpha = platform.Model.Platform.alpha in
-  (* Per-application ratio and weight, exactly Theory.Dominant's
-     arithmetic but deriving [d] once instead of once per quantity. *)
-  for i = 0 to n - 1 do
-    let app = apps.(i) in
-    let d = Model.Power_law.d_of ~app ~platform in
-    let w = (app.Model.App.w *. app.Model.App.f *. d) ** (1. /. (alpha +. 1.)) in
-    let r =
-      if d = 0. then if w > 0. then infinity else 0.
-      else w /. (d ** (1. /. alpha))
-    in
-    weightv.(i) <- w;
-    ratio.(i) <- r
-  done;
-  c.partition_ops <- c.partition_ops + (2 * n);
-  let b = warm_boundary t ~n in
-  let subset = Array.make n false in
-  for k = b to n - 1 do
-    subset.(t.order.(k)) <- true
-  done;
-  subset
-
 (* --- full re-solve ----------------------------------------------------- *)
 
 let m_resolves =
@@ -271,18 +242,12 @@ let m_partition_ops =
     "incremental.partition_ops"
 
 let m_solver_iters =
-  Obs.Metrics.counter ~help:"bisection evaluations spent in re-solves"
+  Obs.Metrics.counter ~help:"root-finder evaluations spent in re-solves"
     "incremental.solver_iters"
-
-type solution = {
-  schedule : Model.Schedule.t;
-  k : float;
-  subset : Theory.Dominant.subset;
-}
 
 type mode = Warm | Cold
 
-let solve t ~mode ~elapsed ~platform ~apps =
+let solve t ~platform ~apps =
   if Array.length apps = 0 then invalid_arg "Incremental.solve: empty instance";
   (* Probes off: [sp] is the null handle, [ops0] is an int read — the
      event loop allocates exactly what it did uninstrumented
@@ -290,54 +255,23 @@ let solve t ~mode ~elapsed ~platform ~apps =
   let sp = Obs.Span.start "online.resolve" in
   let ops0 = t.counters.partition_ops in
   t.counters.resolves <- t.counters.resolves + 1;
-  let subset =
-    match mode with
-    | Warm -> warm_partition t ~platform ~apps
-    | Cold -> cold_partition ~counters:t.counters ~platform apps
-  in
-  let weights =
-    (* The warm path just derived every weight into its persistent
-       buffer; let the capped water-filling reuse them. *)
-    match mode with Warm -> Some t.weight | Cold -> None
-  in
-  let x =
-    Theory.Dominant.cache_allocation_capped ?weights ~platform ~apps subset
-  in
-  let warm =
-    match (mode, t.prev_k) with
-    | Warm, Some k when k -. elapsed > 0. -> Some (k -. elapsed)
-    | _ -> None
-  in
-  (* Counted unconditionally (plain field increments, no allocation):
-     the run's own metrics report warm hits and cold fallbacks whether
-     or not probes are on. *)
-  (match (mode, warm) with
-  | Warm, Some _ -> t.counters.warm_hits <- t.counters.warm_hits + 1
-  | Warm, None -> t.counters.cold_fallbacks <- t.counters.cold_fallbacks + 1
-  | Cold, _ -> ());
-  if Obs.Probe.on () then begin
-    Obs.Metrics.incr m_resolves;
-    match (mode, warm) with
-    | Warm, Some _ -> Obs.Metrics.incr m_warm_hits
-    | Warm, None -> Obs.Metrics.incr m_cold_falls
-    | Cold, _ -> ()
-  end;
+  let subset = cold_partition ~counters:t.counters ~platform apps in
+  let x = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
+  if Obs.Probe.on () then Obs.Metrics.incr m_resolves;
   let iters = ref 0 in
   let schedule, k =
-    Sched.Equalize.schedule_k ?warm ~iters ~ws:t.ws ~platform ~apps x
+    Sched.Equalize.schedule_k ~iters ~ws:t.ws ~platform ~apps x
   in
   t.counters.solver_iters <- t.counters.solver_iters + !iters;
-  t.prev_k <- Some k;
   if Obs.Probe.on () then begin
     Obs.Metrics.add m_partition_ops (t.counters.partition_ops - ops0);
     Obs.Metrics.add m_solver_iters !iters;
-    Obs.Span.add_attr sp "mode"
-      (match mode with Warm -> "warm" | Cold -> "cold");
+    Obs.Span.add_attr sp "mode" "cold";
     Obs.Span.add_attr sp "n" (string_of_int (Array.length apps));
     Obs.Span.add_attr sp "k" (Printf.sprintf "%.6g" k);
     Obs.Span.stop sp
   end;
-  { schedule; k; subset }
+  (schedule, k)
 
 (* --- columnar re-solve (the online hot path) --------------------------- *)
 
@@ -377,7 +311,7 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   let xbuf = t.xbuf and sbuf = t.sbuf and cbuf = t.cbuf in
   let abuf = t.abuf and pbuf = t.pbuf in
   (* Pass 1 — dominant-partition weight and ratio per position, exactly
-     [warm_partition]'s arithmetic on the residual application
+     {!Theory.Dominant}'s arithmetic on the residual application
      [w = remaining * w0]; [d] and [d ** (1/alpha)] come cached from the
      state columns. *)
   shard (fun lo hi ->

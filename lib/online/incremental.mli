@@ -2,7 +2,7 @@
 
     A re-solve has two stages: choose the dominant cache partition
     (Algorithm 1 with the MinRatio criterion — the paper's representative
-    heuristic), then equalise completion times by bisecting on the
+    heuristic), then equalise completion times by solving for the
     makespan [K].  Both stages admit warm starts across consecutive
     events:
 
@@ -26,10 +26,10 @@
       allocation, where the previous implementation rebuilt and
       [Array.sort]ed a boxed entry array on every event.
 
-    - {b Makespan.}  The previous [K], aged by the time elapsed since the
-      last solve, seeds a tight bisection bracket
-      ({!Sched.Equalize.solve_makespan} with [~warm]) in place of the
-      cold bracket spanning the whole feasible range.
+    - {b Makespan.}  The previous [K], scaled by the change in residual
+      parallel demand since the last solve, seeds a tight bracket that
+      {!Sched.Equalize.solve_cols} refines by Illinois false position, in
+      place of the cold bracket spanning the whole feasible range.
 
     All work is counted: [partition_ops] increments per weight/ratio/
     dominance evaluation, [solver_iters] per makespan-objective
@@ -41,17 +41,17 @@
 type counters = {
   mutable solver_iters : int;
       (** Evaluations of the processor-demand objective inside the
-          makespan bisection. *)
+          makespan root-finder. *)
   mutable partition_ops : int;
       (** Per-application weight/ratio evaluations and dominance checks
           inside partition construction. *)
-  mutable resolves : int;  (** Calls to {!solve}. *)
+  mutable resolves : int;  (** Calls to {!solve} and {!solve_state}. *)
   mutable warm_hits : int;
-      (** Warm-mode solves whose bisection was seeded by an aged
-          previous makespan. *)
+      (** {!solve_state} calls whose root-finder was seeded by a
+          predicted makespan. *)
   mutable cold_fallbacks : int;
-      (** Warm-mode solves that fell back to the cold bracket (no
-          previous makespan, or it aged to nothing). *)
+      (** {!solve_state} calls that fell back to the cold bracket (no
+          previous makespan, or the prediction was unusable). *)
 }
 
 val fresh_counters : unit -> counters
@@ -92,30 +92,20 @@ val cold_partition :
     (MinRatio consumes no randomness, so the required rng is a shared
     dummy.) *)
 
-val warm_partition :
-  t -> platform:Model.Platform.t -> apps:Model.App.t array ->
-  Theory.Dominant.subset
-(** The sorted-suffix construction described above, boundary seeded from
-    the previous solve.  Returns the same subset as {!cold_partition}
-    (modulo exact ratio ties, which have measure zero for generated
-    workloads). *)
-
-type solution = {
-  schedule : Model.Schedule.t;
-  k : float;                      (** The equalised makespan. *)
-  subset : Theory.Dominant.subset;(** Applications granted cache. *)
-}
-
 type mode = Warm | Cold
+(** The service's re-solve mode: [Warm] runs {!solve_state}, [Cold] runs
+    {!solve}. *)
 
 val solve :
-  t -> mode:mode -> elapsed:float -> platform:Model.Platform.t ->
-  apps:Model.App.t array -> solution
-(** One full re-solve of the residual instance.  [elapsed] is the time
-    since the previous solve (it ages the warm makespan seed: with no
-    churn the equalised horizon shrinks by exactly the elapsed time).
-    [Cold] ignores and does not consume warm state, but still counts its
-    work in the same counters.
+  t -> platform:Model.Platform.t -> apps:Model.App.t array ->
+  Model.Schedule.t * float
+(** The counted cold baseline behind the service's [Cold] mode: one full
+    re-solve of the residual instance from scratch — {!cold_partition},
+    capped water-filling, then the paper's cold bisection — returning
+    the schedule and its equalised makespan, as
+    {!Sched.Equalize.schedule_k} does.  Neither reads nor writes the
+    warm state, but counts its work in the same {!counters} as
+    {!solve_state}.
     @raise Invalid_argument on an empty instance. *)
 
 val solve_state :
@@ -123,8 +113,10 @@ val solve_state :
   state:State.t -> unit -> float * int
 (** The warm re-solve on {!State}'s columns directly — the service's hot
     path.  Reads the live set through {!State.view} (no per-job
-    [Model.App.t] materialization), runs the same partition repair and
-    capped water-filling as {!solve}, roots the makespan with
+    [Model.App.t] materialization), computes the partition by the
+    sorted-suffix repair described above (the same subset as
+    {!cold_partition}) and the capped water-filling of
+    {!Theory.Dominant.cache_allocation_capped}, roots the makespan with
     {!Sched.Equalize.solve_cols} (Illinois refinement) seeded by the
     {e predicted} residual makespan [prev_k * D / prev_D] (where [D] is
     the residual parallel demand [sum (1-s_i) c_i]), and installs the
@@ -136,6 +128,6 @@ val solve_state :
     positions and all reductions stay sequential, so the result is
     bit-identical to the sequential path for any pool size and chunking
     (QCheck-enforced under churn).  Counts work in the same {!counters}
-    as {!solve} and updates the same warm state ([elapsed] ages the seed
-    on the fallback path when no demand scale is carried yet).
+    as {!solve} and updates the warm state ([elapsed] ages the seed on
+    the fallback path when no demand scale is carried yet).
     @raise Invalid_argument on an empty live set. *)

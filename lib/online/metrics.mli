@@ -19,10 +19,10 @@ type t = {
   migrations : int;
   solver_iters : int;
   partition_ops : int;
-  warm_hits : int;          (** Warm solves seeded by an aged previous
+  warm_hits : int;          (** Warm solves seeded by a predicted
                                 makespan ({!Incremental.counters}). *)
   cold_fallbacks : int;     (** Warm solves that fell back to the cold
-                                bisection bracket. *)
+                                root-finder bracket. *)
   makespan : float;         (** Time the last job left the system. *)
   mean_response : float;
   max_response : float;

@@ -159,12 +159,10 @@ let resolve lv ~is_forced () =
       | Incremental.Cold ->
         let jobs = State.live lv.state in
         let apps = Array.map State.remaining_app jobs in
-        let sol =
-          Incremental.solve lv.inc ~mode:Incremental.Cold ~elapsed
-            ~platform:lv.platform ~apps
+        let schedule, k =
+          Incremental.solve lv.inc ~platform:lv.platform ~apps
         in
-        ( sol.Incremental.k,
-          State.apply lv.state jobs sol.Incremental.schedule.Model.Schedule.allocs )
+        (k, State.apply lv.state jobs schedule.Model.Schedule.allocs)
     in
     lv.migrations <- lv.migrations + migrations;
     if is_forced then lv.forced <- lv.forced + 1;

@@ -14,37 +14,28 @@ type result = {
   idle : float;
 }
 
-let solve_warm ?warm ?iters ?ws ~platform ~apps ~x () =
+let solve ~platform ~apps ~x =
   let n = Array.length apps in
   if n = 0 then invalid_arg "General.solve: empty instance";
   if Array.length x <> n then invalid_arg "General.solve: length mismatch";
   let p = platform.Model.Platform.p in
-  (* With a workspace the per-solve intermediates reuse its buffers
-     (floors borrows the gradient slot); results are bit-identical. *)
   let costs =
-    match ws with Some w -> Workspace.costs w n | None -> Array.make n 0.
+    Array.mapi
+      (fun i app -> Model.Exec_model.work_cost ~app:app.base ~platform ~x:x.(i))
+      apps
   in
-  for i = 0 to n - 1 do
-    costs.(i) <-
-      Model.Exec_model.work_cost ~app:apps.(i).base ~platform ~x:x.(i)
-  done;
   (* The smallest conceivable K: every application at its profile's best
      processor count. *)
-  let floors =
-    match ws with Some w -> Workspace.gradient w n | None -> Array.make n 0.
-  in
-  for i = 0 to n - 1 do
-    floors.(i) <- costs.(i) *. Model.Speedup.min_factor apps.(i).profile ~cap:p
-  done;
   let k_floor = ref neg_infinity in
   for i = 0 to n - 1 do
-    k_floor := Float.max !k_floor floors.(i)
+    k_floor :=
+      Float.max !k_floor
+        (costs.(i) *. Model.Speedup.min_factor apps.(i).profile ~cap:p)
   done;
   let k_floor = !k_floor in
   let demand k =
     (* Total processors needed to finish everything by K; applications
        whose floor exceeds K make it infinite (K infeasible). *)
-    (match iters with Some r -> incr r | None -> ());
     let acc = ref 0. in
     for i = 0 to n - 1 do
       match
@@ -59,20 +50,14 @@ let solve_warm ?warm ?iters ?ws ~platform ~apps ~x () =
   let excess k = demand k -. p in
   let k =
     if excess k_floor <= 0. then k_floor
-    else
-      match warm with
-      | Some k0 when Float.is_finite k0 && k0 > k_floor ->
-        Util.Solver.bisect_seeded ~tol:1e-13 ~f:excess ~floor:k_floor k0
-      | _ ->
-        (* demand is nonincreasing in K; grow an upper bound and bisect. *)
-        let c_max = ref neg_infinity in
-        for i = 0 to n - 1 do
-          c_max := Float.max !c_max costs.(i)
-        done;
-        let hi =
-          Util.Solver.expand_bracket_up ~f:excess (Float.max k_floor !c_max)
-        in
-        Util.Solver.bisect ~tol:1e-13 ~f:excess k_floor hi
+    else begin
+      (* demand is nonincreasing in K; grow an upper bound and bisect. *)
+      let c_max = Array.fold_left Float.max neg_infinity costs in
+      let hi =
+        Util.Solver.expand_bracket_up ~f:excess (Float.max k_floor c_max)
+      in
+      Util.Solver.bisect ~tol:1e-13 ~f:excess k_floor hi
+    end
   in
   let procs =
     Array.mapi
@@ -96,8 +81,6 @@ let solve_warm ?warm ?iters ?ws ~platform ~apps ~x () =
   in
   let makespan = Array.fold_left Float.max neg_infinity times in
   { procs; x; times; makespan; idle = Float.max 0. (p -. used) }
-
-let solve ~platform ~apps ~x = solve_warm ~platform ~apps ~x ()
 
 let solve_with_dominant ~rng ~platform ~apps =
   let bases = Array.map (fun a -> a.base) apps in

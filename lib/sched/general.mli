@@ -44,18 +44,6 @@ val solve :
     profile's floor, which may finish earlier.
     @raise Invalid_argument on an empty instance or length mismatch. *)
 
-val solve_warm :
-  ?warm:float -> ?iters:int ref -> ?ws:Workspace.t ->
-  platform:Model.Platform.t -> apps:app array -> x:float array -> unit ->
-  result
-(** {!solve} with the warm-start plumbing of the online service: [warm]
-    seeds the demand bisection with a previous makespan (same contract as
-    {!Equalize.solve_makespan} — a tight bracket is grown around the seed,
-    the root is unchanged); [iters], when given, is incremented once per
-    demand-objective evaluation; [ws], when given, hosts the per-solve
-    cost and floor intermediates in reusable buffers (bit-identical
-    results, see {!Workspace}). *)
-
 val solve_with_dominant :
   rng:Util.Rng.t -> platform:Model.Platform.t -> apps:app array -> result
 (** The full heuristic: DominantMinRatio cache fractions (computed from

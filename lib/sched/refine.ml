@@ -70,6 +70,10 @@ let refine ?(max_iter = 200) ?(tol = 1e-10) ?iters ?ws ~platform ~apps ~x0 () =
   if Array.length x0 <> n then invalid_arg "Refine.refine: length mismatch";
   let ws = match ws with Some w -> w | None -> Workspace.create ~n () in
   let kern = Model.Kernel.create ~platform apps in
+  let seq = Workspace.seq ws n in
+  for i = 0 to n - 1 do
+    seq.(i) <- Model.Kernel.seq_fraction kern i
+  done;
   let costs = Workspace.costs ws n in
   let grads = Workspace.gradient ws n in
   let proposal = Workspace.proposal ws n in
@@ -80,20 +84,20 @@ let refine ?(max_iter = 200) ?(tol = 1e-10) ?iters ?ws ~platform ~apps ~x0 () =
   in
   let evaluate x =
     fill_costs x;
-    Equalize.solve_with_costs ?iters ~platform ~apps ~costs ~n ()
+    Equalize.solve_with_costs ?iters ~platform ~s:seq ~costs ~n ()
   in
   let grad_into ~x ~k =
     (* [costs] holds the work costs at [x]. *)
     let dg_dk = ref 0. in
     for j = 0 to n - 1 do
-      let s = Model.Kernel.seq_fraction kern j in
+      let s = seq.(j) in
       let denom = (k /. costs.(j)) -. s in
       dg_dk := !dg_dk -. ((1. -. s) /. (denom *. denom) /. costs.(j))
     done;
     for i = 0 to n - 1 do
       if x.(i) <= 0. then grads.(i) <- 0.
       else begin
-        let s = Model.Kernel.seq_fraction kern i in
+        let s = seq.(i) in
         let c = costs.(i) in
         let c' = Model.Kernel.cost_derivative kern i x.(i) in
         let denom = (k /. c) -. s in

@@ -13,6 +13,7 @@
    single-threaded by construction — give each domain its own. *)
 
 type t = {
+  mutable seq : float array;
   mutable costs : float array;
   mutable procs : float array;
   mutable gradient : float array;
@@ -21,6 +22,7 @@ type t = {
 
 let create ?(n = 0) () =
   {
+    seq = Array.make n 0.;
     costs = Array.make n 0.;
     procs = Array.make n 0.;
     gradient = Array.make n 0.;
@@ -30,6 +32,11 @@ let create ?(n = 0) () =
 let grow a n =
   if Array.length a >= n then a
   else Array.make (max n ((2 * Array.length a) + 8)) 0.
+
+let seq t n =
+  let a = grow t.seq n in
+  t.seq <- a;
+  a
 
 let costs t n =
   let a = grow t.costs n in

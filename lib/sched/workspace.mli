@@ -1,7 +1,7 @@
 (** Preallocated scratch buffers for the solver hot path.
 
-    {!Equalize.solve_makespan}, {!Equalize.schedule_k},
-    {!General.solve_warm} and {!Refine.refine} accept an optional
+    {!Equalize.solve_makespan}, {!Equalize.schedule_k} and
+    {!Refine.refine} accept an optional
     workspace; with one, their per-solve intermediate arrays come from
     these buffers instead of fresh allocations, and repeated solves (a
     sweep, the online service's event loop) run allocation-free in the
@@ -20,6 +20,10 @@ val create : ?n:int -> unit -> t
 (** A workspace with initial capacity [n] (default 0; buffers grow on
     demand). *)
 
+val seq : t -> int -> float array
+(** The sequential-fraction column [s_i] the makespan root-finder reads,
+    grown to capacity [>= n]. *)
+
 val costs : t -> int -> float array
 (** The work-cost buffer, grown to capacity [>= n]. *)
 
@@ -27,8 +31,7 @@ val procs : t -> int -> float array
 (** The processor-share buffer, grown to capacity [>= n]. *)
 
 val gradient : t -> int -> float array
-(** The gradient buffer (also the floors buffer of
-    {!General.solve_warm}), grown to capacity [>= n]. *)
+(** The gradient buffer, grown to capacity [>= n]. *)
 
 val proposal : t -> int -> float array
 (** The refinement-proposal buffer, grown to capacity [>= n]. *)

@@ -41,18 +41,9 @@ let cache_allocation ~platform ~apps subset =
       if subset.(i) && total > 0. then weight ~platform app /. total else 0.)
     apps
 
-let cache_allocation_capped ?weights ~platform ~apps subset =
+let cache_allocation_capped ~platform ~apps subset =
   check_lengths apps subset;
   let n = Array.length apps in
-  (* [weights], when given, holds precomputed [weight ~platform app] for
-     every index (capacity may exceed [n]); the warm incremental solver
-     passes the values it already derived for the partition, saving one
-     [( ** )] per application per clamping round. *)
-  let wt =
-    match weights with
-    | Some a -> fun i -> a.(i)
-    | None -> fun i -> weight ~platform apps.(i)
-  in
   let caps =
     Array.map (fun app -> Model.Power_law.max_useful_fraction ~app ~platform) apps
   in
@@ -63,7 +54,7 @@ let cache_allocation_capped ?weights ~platform ~apps subset =
   while !continue_ do
     let total = ref 0. in
     Array.iteri
-      (fun i _app -> if active.(i) then total := !total +. wt i)
+      (fun i app -> if active.(i) then total := !total +. weight ~platform app)
       apps;
     if !total <= 0. || !budget <= 0. then begin
       Array.iteri (fun i a -> if a then x.(i) <- 0.) active;
@@ -75,8 +66,9 @@ let cache_allocation_capped ?weights ~platform ~apps subset =
          pass would use inconsistent multipliers. *)
       let shares = Array.make n 0. in
       Array.iteri
-        (fun i _app ->
-          if active.(i) then shares.(i) <- !budget *. wt i /. !total)
+        (fun i app ->
+          if active.(i) then
+            shares.(i) <- !budget *. weight ~platform app /. !total)
         apps;
       let clamped = ref false in
       Array.iteri

@@ -47,14 +47,8 @@ val cache_allocation :
     or all weights vanish. *)
 
 val cache_allocation_capped :
-  ?weights:float array ->
   platform:Model.Platform.t -> apps:Model.App.t array -> subset -> float array
-(** [weights], when given, must hold [weight ~platform apps.(i)] at every
-    index [i < n] (the array may be larger): callers that already derived
-    the weights — the warm incremental solver keeps them in persistent
-    buffers — skip recomputing one power per application per round.
-
-    Theorem 3 generalised to finite footprints (the Eq. 2 second case,
+(** Theorem 3 generalised to finite footprints (the Eq. 2 second case,
     which Section 4.2 assumes away): minimise
     [sum_{i in IC} w_i f_i d_i / x_i^alpha] subject to [sum x_i <= 1] and
     [x_i <= min(1, a_i / Cs)] by water-filling — apply the closed form,

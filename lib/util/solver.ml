@@ -45,29 +45,6 @@ let expand_bracket_up ?(grow = 2.0) ?(max_iter = 128) ~f hi0 =
   in
   loop hi0 max_iter
 
-let bisect_seeded ?(tol = 1e-12) ?(grow = 1.25) ?(max_iter = 200) ~f ~floor
-    seed =
-  if not (grow > 1.0) then invalid_arg "Solver.bisect_seeded: grow <= 1";
-  if not (seed > floor) then invalid_arg "Solver.bisect_seeded: seed <= floor";
-  let f_checked x = nan_guard ~fn:"bisect_seeded" x (f x) in
-  let fseed = f_checked seed in
-  if fseed = 0.0 then seed
-  else if fseed > 0.0 then
-    (* Root above the seed: grow an upper bracket geometrically. *)
-    let hi = expand_bracket_up ~grow ~f (seed *. grow) in
-    bisect ~tol ~max_iter ~f seed hi
-  else
-    (* Root below the seed: shrink a lower bracket, never past the floor
-       (where the caller guarantees [f >= 0]). *)
-    let rec down lo iter =
-      if lo <= floor then floor
-      else if f_checked lo >= 0.0 then lo
-      else if iter = 0 then floor
-      else down (Float.max floor (lo /. grow)) (iter - 1)
-    in
-    let lo = down (Float.max floor (seed /. grow)) 128 in
-    bisect ~tol ~max_iter ~f lo seed
-
 let newton ?(tol = 1e-12) ?(max_iter = 100) ?bracket ~f ~df x0 =
   (* With a known bracket, a stalled iteration degrades to bisection —
      unconditionally convergent — instead of giving up. *)

@@ -38,21 +38,6 @@ val expand_bracket_up :
     multiplying by [grow] (default 2) until the sign flips.
     @raise No_bracket after [max_iter] (default 128) doublings. *)
 
-val bisect_seeded :
-  ?tol:float -> ?grow:float -> ?max_iter:int -> f:(float -> float) ->
-  floor:float -> float -> float
-(** [bisect_seeded ~f ~floor seed] finds the root of a (weakly) decreasing
-    [f] known to lie in [[floor, infinity)], starting from a warm guess
-    [seed > floor] with [f floor >= 0] (the caller's invariant).  A tight
-    bracket is grown geometrically around the seed (factor [grow], default
-    1.25) and bisected; when the seed is near the root this takes far
-    fewer objective evaluations than bisecting a cold bracket spanning the
-    whole feasible range — the warm-start primitive of the online
-    re-solvers (see [Online.Incremental]).
-    @raise Invalid_argument if [seed <= floor] or [grow <= 1].
-    @raise No_bracket if [f] never becomes nonpositive above the seed.
-    @raise Non_finite if [f] returns NaN at any evaluated point. *)
-
 val newton :
   ?tol:float -> ?max_iter:int -> ?bracket:float * float ->
   f:(float -> float) -> df:(float -> float) -> float -> float

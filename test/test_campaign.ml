@@ -36,16 +36,16 @@ let pool_ordering () =
       Alcotest.(check (array int))
         (Printf.sprintf "map_ordered jobs=%d" jobs)
         expected
-        (Campaign.Pool.map_ordered ~jobs f a))
+        (Exec.Pool.map_ordered ~jobs f a))
     [ 1; 2; 8 ]
 
 let pool_empty_and_singleton () =
   Alcotest.(check (array int))
     "empty" [||]
-    (Campaign.Pool.map_ordered ~jobs:4 (fun x -> x) [||]);
+    (Exec.Pool.map_ordered ~jobs:4 (fun x -> x) [||]);
   Alcotest.(check (array int))
     "singleton" [| 9 |]
-    (Campaign.Pool.map_ordered ~jobs:4 (fun x -> x * x) [| 3 |])
+    (Exec.Pool.map_ordered ~jobs:4 (fun x -> x * x) [| 3 |])
 
 let pool_exception_propagation () =
   let a = Array.init 20 Fun.id in
@@ -55,7 +55,7 @@ let pool_exception_propagation () =
       Alcotest.check_raises
         (Printf.sprintf "first failing index re-raised (jobs=%d)" jobs)
         (Failure "3")
-        (fun () -> ignore (Campaign.Pool.map_ordered ~jobs f a)))
+        (fun () -> ignore (Exec.Pool.map_ordered ~jobs f a)))
     [ 1; 4 ]
 
 let pool_outcome_isolation () =
@@ -63,7 +63,7 @@ let pool_outcome_isolation () =
   let f x = if x mod 7 = 3 then failwith (string_of_int x) else x * 2 in
   List.iter
     (fun jobs ->
-      let out = Campaign.Pool.map_outcomes_ordered ~jobs f a in
+      let out = Exec.Pool.map_outcomes_ordered ~jobs f a in
       Array.iteri
         (fun i -> function
           | Ok v ->
@@ -81,11 +81,11 @@ let pool_outcome_isolation () =
     [ 1; 4 ]
 
 let pool_reuse () =
-  Campaign.Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check int) "three workers" 3 (Campaign.Pool.size pool);
+  Exec.Pool.with_pool ~jobs:3 (fun pool ->
+      Alcotest.(check int) "three workers" 3 (Exec.Pool.size pool);
       let a = Array.init 50 Fun.id in
-      let first = Campaign.Pool.map_array pool (fun x -> x + 1) a in
-      let second = Campaign.Pool.map_array pool (fun x -> x * 2) a in
+      let first = Exec.Pool.map_array pool (fun x -> x + 1) a in
+      let second = Exec.Pool.map_array pool (fun x -> x * 2) a in
       Alcotest.(check (array int)) "first" (Array.map (fun x -> x + 1) a) first;
       Alcotest.(check (array int)) "second" (Array.map (fun x -> x * 2) a) second)
 

@@ -1,8 +1,9 @@
 (* Tests for the online co-scheduling subsystem: workload streams, live
    state, warm-started incremental re-solvers, policies and the service
-   loop.  The load-bearing properties: the warm partition and warm
-   makespan bisection give the same answers as the cold baselines, and a
-   warm service run is event-for-event equivalent to a cold one. *)
+   loop.  The load-bearing properties: the warm partition and the
+   warm-seeded makespan root give the same answers as the cold
+   baselines, and a warm service run is event-for-event equivalent to a
+   cold one. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let test name f = Alcotest.test_case name `Quick f
@@ -195,15 +196,27 @@ let qcheck_cold_partition_matches_builder =
       in
       Online.Incremental.cold_partition ~platform apps = reference)
 
+(* The columns of an instance at cache fractions [x], as the online
+   entry of the root-finder reads them. *)
+let columns apps x =
+  ( Array.map (fun app -> app.Model.App.s) apps,
+    Sched.Equalize.work_costs ~platform ~apps ~x )
+
 let qcheck_warm_partition_matches_cold =
   QCheck.Test.make
     ~name:"warm sorted-suffix partition == cold eviction loop" ~count:100
     QCheck.(pair (int_bound 10_000) (int_range 1 40))
     (fun (seed, n) ->
-      let apps = synth ~seed n in
+      let st = Online.State.create platform in
+      Array.iter (fun app -> ignore (Online.State.add st ~app)) (synth ~seed n);
       let inc = Online.Incremental.create () in
-      Online.Incremental.warm_partition inc ~platform ~apps
-      = Online.Incremental.cold_partition ~platform apps)
+      ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
+      let jobs = Online.State.live st in
+      let cold =
+        Online.Incremental.cold_partition ~platform
+          (Array.map Online.State.remaining_app jobs)
+      in
+      Array.for_all2 (fun j c -> Online.State.cache j > 0. = c) jobs cold)
 
 let qcheck_equalize_warm_seed_same_root =
   QCheck.Test.make
@@ -215,36 +228,27 @@ let qcheck_equalize_warm_seed_same_root =
       let subset = Online.Incremental.cold_partition ~platform apps in
       let x = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
       let cold = Sched.Equalize.solve_makespan ~platform ~apps x in
+      let s, costs = columns apps x in
       let warm =
-        Sched.Equalize.solve_makespan ~warm:(cold *. scale) ~platform ~apps x
+        Sched.Equalize.solve_cols ~warm:(cold *. scale) ~platform ~s ~costs ~n
+          ()
       in
       rel_close cold warm)
-
-let qcheck_general_warm_seed_same_root =
-  QCheck.Test.make
-    ~name:"General.solve_warm with a seed finds the cold root" ~count:60
-    QCheck.(pair (int_bound 10_000) (int_range 2 16))
-    (fun (seed, n) ->
-      let apps = Sched.General.of_apps (synth ~seed n) in
-      let x = Array.make n (1. /. float_of_int n) in
-      let cold = Sched.General.solve ~platform ~apps ~x in
-      let warm =
-        Sched.General.solve_warm
-          ~warm:(cold.Sched.General.makespan *. 1.5)
-          ~platform ~apps ~x ()
-      in
-      rel_close cold.Sched.General.makespan warm.Sched.General.makespan)
 
 let warm_seed_saves_iterations () =
   let apps = synth ~seed:11 16 in
   let subset = Online.Incremental.cold_partition ~platform apps in
   let x = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
+  let s, costs = columns apps x in
+  let n = Array.length apps in
   let cold_iters = ref 0 in
-  let cold = Sched.Equalize.solve_makespan ~iters:cold_iters ~platform ~apps x in
+  let cold =
+    Sched.Equalize.solve_cols ~iters:cold_iters ~platform ~s ~costs ~n ()
+  in
   let warm_iters = ref 0 in
   ignore
-    (Sched.Equalize.solve_makespan ~warm:(cold *. 1.01) ~iters:warm_iters
-       ~platform ~apps x);
+    (Sched.Equalize.solve_cols ~warm:(cold *. 1.01) ~iters:warm_iters ~platform
+       ~s ~costs ~n ());
   Alcotest.(check bool)
     (Printf.sprintf "warm %d < cold %d" !warm_iters !cold_iters)
     true
@@ -500,7 +504,6 @@ let () =
           qtest qcheck_cold_partition_matches_builder;
           qtest qcheck_warm_partition_matches_cold;
           qtest qcheck_equalize_warm_seed_same_root;
-          qtest qcheck_general_warm_seed_same_root;
           test "warm seed saves iterations" warm_seed_saves_iterations;
         ] );
       ( "service",

@@ -3,15 +3,18 @@
    The contracts under test, in decreasing strictness:
    - workspace reuse is {e bit-identical} to fresh allocation (same
      root-finder core, different buffer provenance) — for
-     [Equalize.solve_makespan], [Equalize.schedule_k] and
-     [General.solve_warm];
+     [Equalize.solve_makespan] and [Equalize.schedule_k];
+   - the online entry [Equalize.solve_cols] (Illinois, warm or cold)
+     finds the paper entry's bisection root, on both sides of the
+     2048-wide demand chunk;
    - the memoized {!Model.Kernel} matches the direct execution-model
      evaluation to <= 1e-12 relative (its factorisation reassociates one
      power), and its support threshold is bit-equal to
      {!Model.Power_law.min_useful_fraction};
-   - the persistent warm partition equals the cold eviction loop exactly
-     across arbitrary arrival/departure/progress histories (not just on
-     i.i.d. instances: the carried permutation must survive churn);
+   - the persistent warm partition behind [Incremental.solve_state]
+     equals the cold eviction loop exactly across arbitrary
+     arrival/departure/progress histories (not just on i.i.d. instances:
+     the carried permutation must survive churn);
    - the optimized refinement tracks the kept naive reference and never
      degrades its starting point. *)
 
@@ -60,27 +63,44 @@ let qcheck_ws_schedule_bit_identical =
       let s_ws, k_ws = Sched.Equalize.schedule_k ~ws ~platform ~apps x in
       k_fresh = k_ws && s_fresh.Model.Schedule.allocs = s_ws.Model.Schedule.allocs)
 
-let qcheck_ws_general_bit_identical =
-  let ws = Sched.Workspace.create () in
-  QCheck.Test.make ~count:40 ~name:"General.solve_warm with ws == without, bitwise"
-    seed_and_n
-    (fun (seed, n) ->
-      let apps = synth ~seed n in
-      let x = alloc apps in
-      let gapps = Sched.General.of_apps apps in
-      let r_fresh = Sched.General.solve_warm ~platform ~apps:gapps ~x () in
-      let r_ws = Sched.General.solve_warm ~ws ~platform ~apps:gapps ~x () in
-      r_fresh.Sched.General.makespan = r_ws.Sched.General.makespan
-      && r_fresh.Sched.General.procs = r_ws.Sched.General.procs
-      && r_fresh.Sched.General.times = r_ws.Sched.General.times
-      && r_fresh.Sched.General.idle = r_ws.Sched.General.idle)
-
 let solve_counts_iters () =
   let apps = synth ~seed:11 12 in
   let x = alloc apps in
   let iters = ref 0 in
   ignore (Sched.Equalize.solve_makespan ~iters ~platform ~apps x);
   Alcotest.(check bool) "objective evaluated" true (!iters > 0)
+
+(* --- Illinois entry vs the bisection entry ------------------------------ *)
+
+(* Both entries stop once their bracket is at most
+   [tol * (1 + |mid|)] wide (default tol 1e-13) and each final bracket
+   holds the root, so the two answers differ by at most two bracket
+   widths.  Instances sit on both sides of the 2048-wide demand chunk:
+   below it the sum is one plain loop, above it ascending per-chunk
+   partials.  Each instance is solved cold and from seeds on either side
+   of the root, near and far. *)
+let tol = 1e-13
+
+let qcheck_cols_matches_bisection =
+  QCheck.Test.make ~count:60
+    ~name:"solve_cols within two brackets of bisection"
+    QCheck.(
+      pair (int_bound 10_000)
+        (oneof [ int_range 1 64; int_range 2000 2100; int_range 4000 4200 ]))
+    (fun (seed, n) ->
+      let apps = synth ~seed n in
+      let x = alloc apps in
+      let k = Sched.Equalize.solve_makespan ~platform ~apps x in
+      let s = Array.map (fun app -> app.Model.App.s) apps in
+      let costs = Sched.Equalize.work_costs ~platform ~apps ~x in
+      List.for_all
+        (fun warm ->
+          let k' =
+            Sched.Equalize.solve_cols ?warm ~platform ~s ~costs ~n ()
+          in
+          Float.abs (k -. k') <= 2. *. tol *. (1. +. Float.abs k))
+        [ None; Some (k *. 0.3); Some (k *. 0.999); Some (k *. 1.001);
+          Some (k *. 3.) ])
 
 (* --- memoized kernel vs direct evaluation ------------------------------ *)
 
@@ -131,42 +151,48 @@ let kernel_threshold_exact () =
 
 (* --- persistent warm partition under churn ----------------------------- *)
 
-(* Random histories: arrivals push fresh applications, departures remove
-   at a random position (shifting every later index, the worst case for
-   the carried permutation), progress rescales the remaining work
-   app-by-app.  After every event the persistent warm partition must
-   equal the cold eviction loop exactly. *)
+(* After a columnar re-solve, the jobs holding cache are exactly the
+   subset the cold eviction loop picks on the same residual apps. *)
+let solve_state_matches_cold inc st =
+  ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
+  let jobs = Online.State.live st in
+  let cold =
+    Online.Incremental.cold_partition ~platform
+      (Array.map Online.State.remaining_app jobs)
+  in
+  Array.for_all2 (fun j c -> Online.State.cache j > 0. = c) jobs cold
+
+(* Random histories: arrivals append fresh applications, departures
+   cancel at a random position (shifting every later position, the worst
+   case for the carried permutation), progress advances the clock under
+   the installed allocation by half the time to the first completion.
+   After every event the persistent warm partition must equal the cold
+   eviction loop exactly. *)
 let qcheck_warm_partition_under_churn =
   QCheck.Test.make ~count:40 ~name:"persistent warm partition == cold under churn"
     QCheck.(pair (int_bound 10_000) (list_of_size Gen.(int_range 5 30) (int_bound 99)))
     (fun (seed, script) ->
       let rng = Util.Rng.create seed in
+      let st = Online.State.create platform in
       let inc = Online.Incremental.create () in
-      let live = ref [] in
-      let fresh () =
-        (Model.Workload.generate ~rng Model.Workload.Random 1).(0)
+      let arrive () =
+        let app = (Model.Workload.generate ~rng Model.Workload.Random 1).(0) in
+        ignore (Online.State.add st ~app)
       in
-      live := [ fresh (); fresh () ];
+      arrive ();
+      arrive ();
       List.for_all
         (fun op ->
-          let n = List.length !live in
+          let live = Online.State.live st in
+          let n = Array.length live in
           (match op mod 3 with
-          | 0 -> live := fresh () :: !live
-          | 1 ->
-            if n > 1 then
-              let drop = op mod n in
-              live := List.filteri (fun i _ -> i <> drop) !live
+          | 0 -> arrive ()
+          | 1 -> if n > 1 then Online.State.cancel st live.(op mod n)
           | _ ->
-            live :=
-              List.mapi
-                (fun i app ->
-                  let scale = 0.5 +. (0.4 *. float_of_int ((i + op) mod 3)) in
-                  Model.App.with_w app (app.Model.App.w *. scale))
-                !live);
-          let apps = Array.of_list !live in
-          let warm = Online.Incremental.warm_partition inc ~platform ~apps in
-          let cold = Online.Incremental.cold_partition ~platform apps in
-          warm = cold)
+            let dt = Online.State.min_remaining_time st in
+            if Float.is_finite dt then
+              Online.State.advance st ~to_:(Online.State.now st +. (0.5 *. dt)));
+          solve_state_matches_cold inc st)
         script)
 
 let cold_partition_counts_ops () =
@@ -213,9 +239,9 @@ let () =
         [
           qtest qcheck_ws_solve_bit_identical;
           qtest qcheck_ws_schedule_bit_identical;
-          qtest qcheck_ws_general_bit_identical;
           test "solve_makespan counts objective evaluations" solve_counts_iters;
         ] );
+      ("illinois", [ qtest qcheck_cols_matches_bisection ]);
       ( "kernel",
         [
           qtest qcheck_kernel_work_cost;
