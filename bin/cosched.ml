@@ -99,6 +99,16 @@ let with_obs trace metrics f =
   ignore (Obs.Report.configure ?trace ?metrics () : bool);
   Fun.protect ~finally:(fun () -> Obs.Report.finish ?trace ?metrics ()) f
 
+(* An unusable file path ends the run with one line naming it and exit
+   code 2 instead of a backtrace.  A --journal or --snapshot into a
+   missing directory is refused this way before any trial runs or any
+   socket is bound: Journal.create and Backend.create check both. *)
+let or_exit cmd f =
+  try f ()
+  with Sys_error m ->
+    Printf.eprintf "cosched %s: %s\n" cmd m;
+    exit 2
+
 let seed_arg =
   Arg.(value & opt int 2017 & info [ "seed" ] ~docv:"SEED" ~doc:"Master RNG seed.")
 
@@ -249,6 +259,7 @@ let experiment_cmd =
   in
   let run id trials seed jobs journal on_failure max_retries trial_timeout csv
       out trace metrics =
+    or_exit "experiment" @@ fun () ->
     with_obs trace metrics @@ fun () ->
     let config =
       {
@@ -747,16 +758,7 @@ let refine_cmd =
       & info [ "tol" ] ~docv:"EPS"
           ~doc:"Relative makespan-change convergence tolerance.")
   in
-  let reference_arg =
-    Arg.(
-      value & flag
-      & info [ "reference" ]
-          ~doc:"Also run the kept pre-overhaul implementation and report \
-                both (sanity check: the two agree to the fixed point's \
-                tolerance).")
-  in
-  let run seed dataset napps procs cs file max_iter tol reference trace metrics
-      =
+  let run seed dataset napps procs cs file max_iter tol trace metrics =
     with_obs trace metrics @@ fun () ->
     let _rng, platform, apps =
       make_instance ?file ~seed ~dataset ~napps ~procs ~cs ()
@@ -783,21 +785,12 @@ let refine_cmd =
             Printf.sprintf "%.4g" r.Sched.Refine.x.(i);
           ])
       apps;
-    Util.Table.print table;
-    if reference then begin
-      let rr = Sched.Refine.refine_reference ~max_iter ~tol ~platform ~apps ~x0 () in
-      Format.printf
-        "reference makespan          = %.6g (%d iterations; rel gap %.2g)@."
-        rr.Sched.Refine.makespan rr.Sched.Refine.iterations
-        (Float.abs (rr.Sched.Refine.makespan -. r.Sched.Refine.makespan)
-        /. rr.Sched.Refine.makespan)
-    end
+    Util.Table.print table
   in
   let term =
     Term.(
       const run $ seed_arg $ dataset_arg $ napps_arg $ procs_arg $ cs_arg
-      $ file_arg $ max_iter_arg $ tol_arg $ reference_arg $ trace_arg
-      $ metrics_arg)
+      $ file_arg $ max_iter_arg $ tol_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "refine"
@@ -965,6 +958,7 @@ let serve_cmd =
       journal snapshot snapshot_every snapshot_keep deadline_ms idle_timeout
       max_buffer shed_highwater shed_lowwater policy cold check procs cs trace
       metrics =
+    or_exit "serve" @@ fun () ->
     with_obs trace metrics @@ fun () ->
     let mode =
       if cold then Online.Incremental.Cold else Online.Incremental.Warm

@@ -122,6 +122,9 @@ let create ~path =
   end;
   if bad <> [] && Obs.Probe.on () then
     Obs.Metrics.add m_quarantined (List.length bad);
+  (* Fail here, naming the path, rather than at the first append — a
+     campaign's first finished trial or a daemon's first mutation. *)
+  close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path);
   let by_key = Hashtbl.create 256 in
   List.iter (fun e -> Hashtbl.replace by_key e.key e.values) existing;
   {

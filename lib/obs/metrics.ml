@@ -250,19 +250,9 @@ let render_prometheus () =
     (sorted_instruments ());
   Buffer.contents b
 
-let json_escape s =
+let json_string s =
   let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Trace_json.add_escaped b s;
   Buffer.contents b
 
 let json_float v =
@@ -273,13 +263,13 @@ let render_json () =
   let pick f = List.filter_map f instruments in
   let counters =
     pick (function
-      | name, C c -> Some (Printf.sprintf "\"%s\":%d" (json_escape name) (count c))
+      | name, C c -> Some (Printf.sprintf "%s:%d" (json_string name) (count c))
       | _ -> None)
   in
   let gauges =
     pick (function
       | name, G g ->
-        Some (Printf.sprintf "\"%s\":%s" (json_escape name) (json_float g.gv))
+        Some (Printf.sprintf "%s:%s" (json_string name) (json_float g.gv))
       | _ -> None)
   in
   let histograms =
@@ -288,8 +278,8 @@ let render_json () =
         let p50, p90, p99 = hist_quantiles h in
         Some
           (Printf.sprintf
-             "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-             (json_escape name) h.hcount (json_float h.hsum)
+             "%s:{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
+             (json_string name) h.hcount (json_float h.hsum)
              (json_float (if Float.is_finite h.hmin then h.hmin else 0.))
              (json_float (if Float.is_finite h.hmax then h.hmax else 0.))
              (json_float p50) (json_float p90) (json_float p99))

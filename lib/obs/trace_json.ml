@@ -165,20 +165,21 @@ let member key = function
 
 (* --- chrome export ----------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
+let add_escaped b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
+  Buffer.add_char b '"'
 
 let dedup_args args =
   let seen = Hashtbl.create 4 in
@@ -203,10 +204,11 @@ let to_chrome (events : Span.event array) =
   Array.iteri
     (fun i (e : Span.event) ->
       if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b "{\"name\":";
+      add_escaped b e.Span.name;
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"cosched\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
-           (escape e.Span.name)
+           ",\"cat\":\"cosched\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
            (e.Span.ts_us -. t0)
            e.Span.dur_us e.Span.tid);
       (match dedup_args e.Span.args with
@@ -216,8 +218,9 @@ let to_chrome (events : Span.event array) =
         List.iteri
           (fun j (k, v) ->
             if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
+            add_escaped b k;
+            Buffer.add_char b ':';
+            add_escaped b v)
           args;
         Buffer.add_char b '}');
       Buffer.add_char b '}')

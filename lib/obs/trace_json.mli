@@ -31,6 +31,13 @@ val parse : string -> json
 val member : string -> json -> json option
 (** Field lookup on an {!Obj}; [None] on other constructors. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** Append [s] to the buffer as a JSON string literal, quotes included:
+    ["\""], ["\\"], newline, carriage return and tab get their short
+    escapes, other control characters [\u00XX]; every other byte is
+    copied as is.  The one escaper behind every JSON document the
+    repository writes (wire frames, snapshots, traces, metrics). *)
+
 val to_chrome : Span.event array -> string
 (** The [{"traceEvents":[...],"displayTimeUnit":"ms",...}] object.
     Timestamps are microseconds rebased so the earliest span starts at

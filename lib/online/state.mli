@@ -22,9 +22,9 @@
     is a handle carrying the immutable identity and its slot.  The event
     loop and the incremental solver walk the columns linearly — one
     arrival touches cache-dense arrays instead of chasing records —
-    which is what lets the service hold 10⁵ live jobs (see
-    [BENCH_online.json]'s scale sections).  Retiring a job returns its
-    slot to the freelist for the next admission; the admission-ordered
+    which is what lets the service hold 10⁵ live jobs (perfbench's
+    [live-1e5] workload runs it at that size).  Retiring a job returns
+    its slot to the freelist for the next admission; the admission-ordered
     iteration array keeps a hole until {!compact} squeezes it out
     (called lazily, and before every solver {!view}). *)
 

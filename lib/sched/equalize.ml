@@ -11,8 +11,8 @@ let work_costs ~platform ~apps ~x =
    flat float block: every store below writes unboxed, and one solve
    allocates exactly this block (plus the [eval] closure) up front —
    zero minor-heap words per objective evaluation, which is what the
-   bench/micro harness asserts for both entry points.  Endpoint values
-   are carried instead of re-evaluated. *)
+   solver section of bench/main asserts for both entry points.
+   Endpoint values are carried instead of re-evaluated. *)
 type state = {
   mutable k : float;    (* probe point *)
   mutable fk : float;   (* excess at [k] *)

@@ -190,8 +190,8 @@ let refine ?(max_iter = 200) ?(tol = 1e-10) ?iters ?ws ~platform ~apps ~x0 () =
 (* The pre-overhaul implementation, kept verbatim as the measured
    baseline: every iteration re-solves the current point (whose makespan
    the loop already knows) and re-derives every power-law constant from
-   scratch.  bench/micro reports the optimized/reference throughput
-   ratio from the same run. *)
+   scratch.  The solver section of bench/main reports the
+   optimized/reference throughput ratio from the same run. *)
 let refine_reference ?(max_iter = 200) ?(tol = 1e-10) ~platform ~apps ~x0 () =
   let n = Array.length apps in
   if n = 0 then invalid_arg "Refine.refine: empty instance";

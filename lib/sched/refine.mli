@@ -55,11 +55,12 @@ val refine_reference :
   ?max_iter:int -> ?tol:float -> platform:Model.Platform.t ->
   apps:Model.App.t array -> x0:float array -> unit -> result
 (** The pre-overhaul implementation, kept verbatim as the measured naive
-    baseline (bench/micro reports {!refine}'s throughput against it in
-    the same run).  Same fixed point up to floating-point rounding: the
-    kernel factorisation used by {!refine} differs by ulps per cost, so
-    the two trajectories agree to the fixed point's tolerance, not
-    bit-for-bit. *)
+    baseline (the solver section of [bench/main] reports {!refine}'s
+    throughput against it in the same run) and as the test suite's
+    oracle for {!refine}.  Same fixed point up to floating-point
+    rounding: the kernel factorisation used by {!refine} differs by ulps
+    per cost, so the two trajectories agree to the fixed point's
+    tolerance, not bit-for-bit. *)
 
 val schedule :
   ?max_iter:int -> ?tol:float -> platform:Model.Platform.t ->

@@ -211,6 +211,14 @@ let create (config : config) =
     invalid_arg "Backend.create: snapshot_keep must be >= 1";
   if config.shed_highwater > 0 && config.shed_lowwater > config.shed_highwater
   then invalid_arg "Backend.create: shed_lowwater must be <= shed_highwater";
+  (* A checkpoint into a missing directory fails here, before a daemon
+     binds its socket, not at the first checkpoint. *)
+  Option.iter
+    (fun p ->
+      let dir = Filename.dirname p in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        raise (Sys_error (p ^ ": No such file or directory")))
+    config.snapshot;
   let notices = Queue.create () in
   let listener n = Queue.add n notices in
   let dedup = Hashtbl.create 256 in

@@ -100,7 +100,10 @@ val create : config -> t
 
     @raise Invalid_argument if [snapshot] is set without [journal],
     [snapshot_keep < 1], or [shed_lowwater > shed_highwater] while
-    shedding is enabled. *)
+    shedding is enabled.
+    @raise Sys_error naming the path when the journal cannot be opened
+    ({!Campaign.Journal.create}) or the snapshot's directory does not
+    exist. *)
 
 val now : t -> float
 (** Current model time of the live core. *)

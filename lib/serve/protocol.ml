@@ -156,22 +156,6 @@ let utf8_valid s =
 
 (* --- JSON printing ------------------------------------------------------ *)
 
-let add_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 (* %.17g round-trips an IEEE-754 double exactly (the repo-wide
    convention, same as the campaign journal). *)
 let add_float b v = Buffer.add_string b (Printf.sprintf "%.17g" v)
@@ -188,13 +172,13 @@ let add_obj b fields =
       | F (k, v) ->
         if not !first then Buffer.add_char b ',';
         first := false;
-        add_escaped b k;
+        Obs.Trace_json.add_escaped b k;
         Buffer.add_char b ':';
         v b)
     fields;
   Buffer.add_char b '}'
 
-let fstr s b = add_escaped b s
+let fstr s b = Obs.Trace_json.add_escaped b s
 let fnum v b = add_float b v
 let fint v b = add_int b v
 let fbool v b = Buffer.add_string b (if v then "true" else "false")

@@ -16,49 +16,33 @@ let generation_path path k =
 
 (* --- rendering ---------------------------------------------------------- *)
 
-let buf_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 (* %.17g round-trips an IEEE-754 double exactly — the repo-wide
    convention.  Non-finite values are not JSON, so fields that can be
    [infinity]/[neg_infinity] (footprint, empty maxima) are omitted and
    reconstructed from the field's absence. *)
 let buf_kv_num b k v =
   Buffer.add_char b ',';
-  buf_escaped b k;
+  Obs.Trace_json.add_escaped b k;
   Buffer.add_string b (Printf.sprintf ":%.17g" v)
 
 let buf_kv_num_finite b k v = if Float.is_finite v then buf_kv_num b k v
 
 let buf_kv_int b k v =
   Buffer.add_char b ',';
-  buf_escaped b k;
+  Obs.Trace_json.add_escaped b k;
   Buffer.add_char b ':';
   Buffer.add_string b (string_of_int v)
 
 let buf_kv_bool b k v =
   Buffer.add_char b ',';
-  buf_escaped b k;
+  Obs.Trace_json.add_escaped b k;
   Buffer.add_string b (if v then ":true" else ":false")
 
 let buf_kv_str b k v =
   Buffer.add_char b ',';
-  buf_escaped b k;
+  Obs.Trace_json.add_escaped b k;
   Buffer.add_char b ':';
-  buf_escaped b v
+  Obs.Trace_json.add_escaped b v
 
 let render t =
   let p = t.persist in
@@ -116,7 +100,7 @@ let render t =
     (fun i (sid, rid, resp) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"sid\":";
-      buf_escaped b sid;
+      Obs.Trace_json.add_escaped b sid;
       buf_kv_int b "rid" rid;
       buf_kv_str b "resp" (Protocol.encode_response resp);
       Buffer.add_char b '}')

@@ -4,8 +4,8 @@
      hot path allocates exactly what the uninstrumented code did — the
      probe sites themselves allocate zero minor words, the Equalize
      bisection still allocates zero words per objective evaluation (the
-     two-tolerance technique from bench/micro), and the online event
-     loop's allocation count is reproducible to the word;
+     two-tolerance technique of bench/main's solver section), and the
+     online event loop's allocation count is reproducible to the word;
    - {e non-interference when enabled}: solver results are bit-identical
      with probes on and off, for both the bare bisection and a full
      online service run.

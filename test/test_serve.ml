@@ -145,7 +145,12 @@ let qcheck_frame_chunked_roundtrip =
 
 (* --- Protocol round trips ---------------------------------------------- *)
 
-let gen_name = QCheck.Gen.(string_size (int_range 0 12) ~gen:printable)
+(* Names mix printable text with every control character, so the round
+   trips cover each escape the one JSON string escaper emits. *)
+let gen_name =
+  QCheck.Gen.(
+    string_size (int_range 0 12)
+      ~gen:(frequency [ (4, printable); (1, map Char.chr (int_range 0 31)) ]))
 
 let gen_app_spec =
   QCheck.Gen.(
@@ -638,6 +643,30 @@ let backend_config_validation () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "lowwater above highwater accepted"
+
+(* A journal or snapshot into a missing directory fails at create time,
+   naming the path, before any request is handled (a daemon creates its
+   backend before binding its socket) and without leaving a file. *)
+let backend_missing_directory () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "cosched-no-such-dir" in
+  let journal = fresh_journal_path "missing-dir-ok.jsonl" in
+  List.iter
+    (fun (what, journal, snapshot) ->
+      let path = Option.value snapshot ~default:journal in
+      match
+        Backend.create
+          { Backend.default_config with platform; journal = Some journal; snapshot }
+      with
+      | exception Sys_error m ->
+        Alcotest.(check bool)
+          (what ^ " error names the path") true
+          (String.starts_with ~prefix:path m)
+      | _ -> Alcotest.fail (what ^ " into a missing directory accepted"))
+    [
+      ("journal", Filename.concat dir "d.jsonl", None);
+      ("snapshot", journal, Some (Filename.concat dir "d.snap"));
+    ];
+  Alcotest.(check bool) "no journal left behind" false (Sys.file_exists journal)
 
 (* --- snapshots and compaction ------------------------------------------- *)
 
@@ -1297,6 +1326,8 @@ let () =
           test "hysteresis: shed at highwater, recover at lowwater"
             backend_shed_hysteresis;
           test "config validation" backend_config_validation;
+          test "journal or snapshot into a missing directory fails at create"
+            backend_missing_directory;
         ] );
       ( "snapshot",
         [
