@@ -4,7 +4,8 @@
                exact minor-heap words/op          -> BENCH_solver.json
      online    warm vs cold re-solves per policy  -> BENCH_online.json
      stats     heavy-tailed samplers and a flash crowd (the "stats"
-               record of BENCH_online.json, written with `online`)
+               record of BENCH_online.json, written with `online`;
+               `online` alone keeps the committed record)
      exact     branch-and-bound certification     -> BENCH_exact.json
      recovery  journal replay vs snapshot restore -> BENCH_serve.json
 
@@ -33,13 +34,15 @@ let gate ~enforced ok msg =
     if enforced then failures := msg :: !failures
     else prerr_endline ("bench warning: " ^ msg)
 
+let str s =
+  let b = Buffer.create (String.length s + 2) in
+  Obs.Trace_json.add_escaped b s;
+  Buffer.contents b
+
 let obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields)
-  ^ "}"
+  "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
 
 let num = Printf.sprintf "%.6g"
-let str = Printf.sprintf "\"%s\""
 
 let emit cfg path json =
   ignore (Obs.Trace_json.parse json : Obs.Trace_json.json);
@@ -49,16 +52,31 @@ let emit cfg path json =
     Printf.printf "wrote %s\n" path
   end
 
-(* A number from a committed BENCH_* file, read before this run
+(* A value from a committed BENCH_* file, read before this run
    overwrites it; [None] when the file or the field is missing. *)
-let baseline path fields =
+let committed path fields =
   match Obs.Trace_json.parse (In_channel.with_open_bin path In_channel.input_all) with
-  | j -> (
+  | j ->
     let field acc k = Option.bind acc (Obs.Trace_json.member k) in
-    match List.fold_left field (Some j) fields with
-    | Some (Obs.Trace_json.Num v) -> Some v
-    | _ -> None)
+    List.fold_left field (Some j) fields
   | exception (Sys_error _ | Failure _) -> None
+
+let baseline path fields =
+  match committed path fields with
+  | Some (Obs.Trace_json.Num v) -> Some v
+  | _ -> None
+
+(* Re-emit a parsed document; numbers take the shortest form that reads
+   back to the same float. *)
+let rec render = function
+  | Obs.Trace_json.Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num v ->
+    let s = Printf.sprintf "%.15g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+  | Str s -> str s
+  | List l -> "[" ^ String.concat "," (List.map render l) ^ "]"
+  | Obj fields -> obj (List.map (fun (k, v) -> (k, render v)) fields)
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -511,7 +529,7 @@ let stats cfg =
 (* Serve one 100-application Poisson stream under every built-in re-solve
    policy, warm and cold: events/sec, warm-vs-cold solver-iteration
    speedup, migration counts.  [stats_json] is the stats section's
-   record when it ran too. *)
+   record when it ran too, else the committed one. *)
 let online cfg stats_json =
   let napps = 100 and load = 8. in
   let rng = Util.Rng.create cfg.seed in
@@ -880,8 +898,12 @@ let run sections seed smoke guard trace metrics =
           | Solver when on Solver -> solver cfg
           | Online when on Online ->
             (* The stats record is computed first: it reads its baseline
-               from the BENCH_online.json this section rewrites. *)
-            online cfg (if on Stats then Some (stats cfg) else None)
+               from the BENCH_online.json this section rewrites.  Without
+               the stats section the committed record is carried over, so
+               the flash-crowd guard keeps its baseline. *)
+            online cfg
+              (if on Stats then Some (stats cfg)
+               else Option.map render (committed "BENCH_online.json" [ "stats" ]))
           | Stats when on Stats && not (on Online) -> ignore (stats cfg : string)
           | Exact when on Exact -> exact cfg
           | Recovery when on Recovery -> recovery cfg

@@ -99,13 +99,15 @@ let with_obs trace metrics f =
   ignore (Obs.Report.configure ?trace ?metrics () : bool);
   Fun.protect ~finally:(fun () -> Obs.Report.finish ?trace ?metrics ()) f
 
-(* An unusable file path ends the run with one line naming it and exit
-   code 2 instead of a backtrace.  A --journal or --snapshot into a
-   missing directory is refused this way before any trial runs or any
-   socket is bound: Journal.create and Backend.create check both. *)
-let or_exit cmd f =
+(* A start-up step that fails on an unusable file path ends the run
+   with one line naming it and exit code 2 instead of a backtrace: a
+   --journal or --snapshot into a missing directory is refused before
+   any trial runs or any socket is bound (Journal.create and
+   Backend.create check both).  Once [ready] is set, I/O faults keep
+   their backtrace. *)
+let or_exit ?(ready = ref false) cmd f =
   try f ()
-  with Sys_error m ->
+  with Sys_error m when not !ready ->
     Printf.eprintf "cosched %s: %s\n" cmd m;
     exit 2
 
@@ -259,7 +261,10 @@ let experiment_cmd =
   in
   let run id trials seed jobs journal on_failure max_retries trial_timeout csv
       out trace metrics =
-    or_exit "experiment" @@ fun () ->
+    or_exit "experiment" (fun () ->
+        Option.iter
+          (fun path -> ignore (Campaign.Journal.create ~path : Campaign.Journal.t))
+          journal);
     with_obs trace metrics @@ fun () ->
     let config =
       {
@@ -958,7 +963,8 @@ let serve_cmd =
       journal snapshot snapshot_every snapshot_keep deadline_ms idle_timeout
       max_buffer shed_highwater shed_lowwater policy cold check procs cs trace
       metrics =
-    or_exit "serve" @@ fun () ->
+    let ready = ref false in
+    or_exit ~ready "serve" @@ fun () ->
     with_obs trace metrics @@ fun () ->
     let mode =
       if cold then Online.Incremental.Cold else Online.Incremental.Warm
@@ -1003,6 +1009,7 @@ let serve_cmd =
     in
     Serve.Daemon.run
       ~on_ready:(fun () ->
+        ready := true;
         Printf.printf "cosched serve: listening on %s%s\n%!" socket
           (match port with
           | Some p -> Printf.sprintf " and 127.0.0.1:%d" p

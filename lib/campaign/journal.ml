@@ -6,7 +6,7 @@ type t = {
   mutable entries_rev : entry list;
   mutable quarantined : int;
   by_key : (string, float array) Hashtbl.t;
-  mutable oc : out_channel option;  (* lazily opened append channel *)
+  mutable oc : out_channel option;  (* append channel; reopened after a rewrite *)
 }
 
 let quarantine_path path = path ^ ".quarantine"
@@ -122,9 +122,10 @@ let create ~path =
   end;
   if bad <> [] && Obs.Probe.on () then
     Obs.Metrics.add m_quarantined (List.length bad);
-  (* Fail here, naming the path, rather than at the first append — a
-     campaign's first finished trial or a daemon's first mutation. *)
-  close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path);
+  (* Open the append channel here so a bad path fails now, naming it,
+     rather than at the first append — a campaign's first finished trial
+     or a daemon's first mutation. *)
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   let by_key = Hashtbl.create 256 in
   List.iter (fun e -> Hashtbl.replace by_key e.key e.values) existing;
   {
@@ -133,7 +134,7 @@ let create ~path =
     entries_rev = List.rev existing;
     quarantined = List.length bad;
     by_key;
-    oc = None;
+    oc = Some oc;
   }
 
 let path t = t.path

@@ -35,8 +35,8 @@ type t
 
 val create : path:string -> t
 (** Opens (or starts) the journal at [path], replaying intact entries and
-    quarantining corrupt ones, and checks that [path] can be opened
-    for appending (creating an empty journal if none exists).
+    quarantining corrupt ones, and opens [path] for appending (creating
+    an empty journal if none exists).
     Domain-safe: workers may append concurrently.
     @raise Sys_error naming [path] when it cannot be opened (a missing
     directory, no permission). *)
