@@ -747,13 +747,15 @@ let recovery cfg =
       (Printf.sprintf "cosched_bench_recovery_%d" (Unix.getpid ()))
   in
   let jpath = base ^ ".journal" and spath = base ^ ".snap" in
+  (* Every journal segment and snapshot generation a scenario leaves,
+     so the next one starts from nothing. *)
   let cleanup () =
     List.iter
       (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [
-        jpath; jpath ^ ".quarantine"; jpath ^ ".tmp"; spath;
-        spath ^ ".quarantine"; spath ^ ".tmp";
-      ]
+      (List.concat_map
+         (fun p -> [ p; p ^ ".quarantine"; p ^ ".tmp" ])
+         (List.init 3 (Campaign.Journal.segment_path jpath)
+         @ List.init 3 (Serve.Snapshot.generation_path spath)))
   in
   let config ~snapshot =
     {

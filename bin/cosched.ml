@@ -908,7 +908,8 @@ let serve_cmd =
             "Snapshot generations to keep on disk (FILE, FILE.1, ...).  \
              Recovery falls back generation by generation before resorting \
              to full journal replay; the journal retains every mutation \
-             since the oldest kept checkpoint.")
+             since the oldest kept checkpoint, one segment per generation \
+             (JOURNAL, JOURNAL.1, ...).")
   in
   let deadline_ms_arg =
     Arg.(
@@ -1338,7 +1339,14 @@ let journal_cmd =
       true
   in
   let inspect_journal ~replay ~procs ~cs file =
-    let entries, bad = Campaign.Journal.scan ~path:file in
+    (* A daemon journal is [file] plus its older segments [file.1], ...;
+       every report spans them all, oldest first. *)
+    let segments =
+      List.map
+        (fun seg -> (seg, Campaign.Journal.scan ~path:seg))
+        (Campaign.Journal.segments ~path:file)
+    in
+    let entries = List.concat_map (fun (_, (e, _)) -> e) segments in
     let counts = Hashtbl.create 8 in
     let min_seq = ref max_int and max_seq = ref min_int in
     List.iter
@@ -1356,33 +1364,48 @@ let journal_cmd =
             if s > !max_seq then max_seq := s)
           seq)
       entries;
-    Printf.printf "journal %s: %d intact record(s)\n" file (List.length entries);
+    Printf.printf "journal %s: %d intact record(s) in %d segment(s)\n" file
+      (List.length entries) (List.length segments);
     Hashtbl.iter (Printf.printf "  %-12s %d\n") counts;
     if !max_seq >= !min_seq then
       Printf.printf "  seq range       = %d .. %d\n" !min_seq !max_seq;
-    (match bad with
-    | [] -> print_endline "  torn tail       : none (every line checksums)"
-    | bad ->
-      Printf.printf "  torn tail       : %d corrupt line(s) would be quarantined on recovery\n"
-        (List.length bad);
-      List.iteri
-        (fun i l ->
-          if i < 3 then
-            Printf.printf "    %s%s\n"
-              (String.sub l 0 (min 60 (String.length l)))
-              (if String.length l > 60 then "…" else ""))
-        bad);
+    List.iter
+      (fun (seg, (entries, bad)) ->
+        Printf.printf "  segment %s: %d intact record(s)\n" seg
+          (List.length entries);
+        match bad with
+        | [] -> print_endline "    torn tail     : none (every line checksums)"
+        | bad ->
+          Printf.printf
+            "    torn tail     : %d corrupt line(s) would be quarantined on \
+             recovery\n"
+            (List.length bad);
+          List.iteri
+            (fun i l ->
+              if i < 3 then
+                Printf.printf "      %s%s\n"
+                  (String.sub l 0 (min 60 (String.length l)))
+                  (if String.length l > 60 then "…" else ""))
+            bad)
+      segments;
     if replay then begin
-      (* Recovery heals and quarantines in place, so replay a copy: the
-         inspected file must come out byte-identical. *)
-      let tmp = Filename.temp_file "cosched-journal-inspect" ".jsonl" in
+      (* Recovery heals and quarantines in place, so replay a copy of
+         every segment: the inspected files must come out
+         byte-identical. *)
+      let dir = Filename.temp_dir "cosched-journal-inspect" "" in
+      let tmp = Filename.concat dir "journal.jsonl" in
       Fun.protect
         ~finally:(fun () ->
-          List.iter
-            (fun p -> try Sys.remove p with Sys_error _ -> ())
-            [ tmp; Campaign.Journal.quarantine_path tmp ])
+          Array.iter
+            (fun p -> try Sys.remove (Filename.concat dir p) with Sys_error _ -> ())
+            (Sys.readdir dir);
+          try Sys.rmdir dir with Sys_error _ -> ())
         (fun () ->
-          copy_file file tmp;
+          List.iteri
+            (fun i (seg, _) ->
+              copy_file seg
+                (Campaign.Journal.segment_path tmp (List.length segments - 1 - i)))
+            segments;
           let backend =
             Serve.Backend.create
               {
@@ -1403,7 +1426,7 @@ let journal_cmd =
           print_endline "  recovered state (replayed on a temporary copy):";
           Printf.printf "    %s\n" (Serve.Protocol.encode_response resp))
     end;
-    bad = []
+    List.for_all (fun (_, (_, bad)) -> bad = []) segments
   in
   let run file kind no_replay procs cs =
     if not (Sys.file_exists file) then begin
@@ -1424,9 +1447,9 @@ let journal_cmd =
   Cmd.v
     (Cmd.info "journal"
        ~doc:
-         "Inspect and validate a daemon journal or snapshot: record counts, \
-          torn-tail report, and the live-job summary a recovery would \
-          produce.")
+         "Inspect and validate a daemon journal (every segment: FILE.N ... \
+          FILE.1, FILE) or snapshot: record counts, torn-tail report per \
+          segment, and the live-job summary a recovery would produce.")
     term
 
 let main_cmd =

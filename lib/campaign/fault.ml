@@ -110,6 +110,10 @@ let store_point ~site ~key =
                 key n))
     end
 
+let file_op ~site op path f =
+  store_point ~site ~key:(op ^ " " ^ path);
+  f path
+
 let mangle ~site ~key line =
   match active () with
   | None -> line

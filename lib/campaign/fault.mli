@@ -66,6 +66,12 @@ val task_point : trial:int -> attempt:int -> unit
 val store_point : site:store_site -> key:string -> unit
 (** Entry of a cache/journal mutation: may raise {!Injected}. *)
 
+val file_op : site:store_site -> string -> string -> (string -> unit) -> unit
+(** [file_op ~site op path f] runs [f path] behind a {!store_point}
+    keyed [op ^ " " ^ path] (say ["rename FILE"]): one file operation of
+    a checkpoint, which an armed harness can cut before it runs, as a
+    crash there would. *)
+
 val mangle : site:store_site -> key:string -> string -> string
 (** [mangle ~site ~key line] is the line a store writer must actually
     persist for [key] — either [line] or a torn proper prefix of it. *)

@@ -53,12 +53,6 @@ type t = {
   journal : Campaign.Journal.t option;
   snapshot_path : string option;
   snapshot_every : int;
-  mutable gen_seqs : int list option;
-      (* Watermarks of the on-disk snapshot generations, newest first;
-         their minimum is the journal-compaction retention floor.
-         [None] until the first checkpoint scans the disk — recovery
-         itself never pays for validating generations it did not
-         restore. *)
   mutable seq : int;
   mutable draining : bool;
   mutable shed : bool;
@@ -91,13 +85,13 @@ let take_notices t =
 
 let dedup_find t ~sid ~rid = Hashtbl.find_opt t.dedup (sid, rid)
 
-let dedup_add t ~sid ~rid resp =
-  let key = (sid, rid) in
-  if not (Hashtbl.mem t.dedup key) then begin
-    Hashtbl.replace t.dedup key resp;
-    Queue.add key t.dedup_fifo;
-    if Queue.length t.dedup_fifo > dedup_cap then
-      Hashtbl.remove t.dedup (Queue.pop t.dedup_fifo)
+(* Also rebuilds the cache during replay, so a long uncompacted journal
+   never yields a cache larger than the live one. *)
+let dedup_add dedup fifo key resp =
+  if not (Hashtbl.mem dedup key) then begin
+    Hashtbl.replace dedup key resp;
+    Queue.add key fifo;
+    if Queue.length fifo > dedup_cap then Hashtbl.remove dedup (Queue.pop fifo)
   end
 
 (* Session ids are client-chosen strings; hex-encode them into journal
@@ -223,17 +217,7 @@ let create (config : config) =
   let listener n = Queue.add n notices in
   let dedup = Hashtbl.create 256 in
   let dedup_fifo = Queue.create () in
-  let record_dedup ~sid ~rid resp =
-    let key = (sid, rid) in
-    if not (Hashtbl.mem dedup key) then begin
-      Hashtbl.replace dedup key resp;
-      Queue.add key dedup_fifo;
-      (* Same bound as [dedup_add]: a long uncompacted journal must not
-         rebuild an idempotency cache larger than the live one. *)
-      if Queue.length dedup_fifo > dedup_cap then
-        Hashtbl.remove dedup (Queue.pop dedup_fifo)
-    end
-  in
+  let record_dedup ~sid ~rid resp = dedup_add dedup dedup_fifo (sid, rid) resp in
   let fresh () =
     Online.Service.live_create ~config:config.service ~listener
       ~platform:config.platform ()
@@ -250,7 +234,8 @@ let create (config : config) =
          quarantined by [load_generations], which falls back to the next
          older one; with every generation gone, full replay rebuilds the
          state (the journal retains entries back to the oldest kept
-         generation's watermark, so nothing is lost). *)
+         generation's watermark, so nothing is lost).  Sequence numbers
+         start at 0, so without a snapshot the watermark skips nothing. *)
       let lv, watermark =
         match
           Option.map
@@ -267,14 +252,9 @@ let create (config : config) =
             (fun (sid, rid, resp) -> record_dedup ~sid ~rid resp)
             s.Snapshot.dedup;
           (lv, s.Snapshot.seq)
-        | _ -> (fresh (), min_int)
+        | _ -> (fresh (), 0)
       in
-      (* [watermark - 1] underflows when there is no snapshot
-         (watermark = min_int), wrapping max_seq to max_int and making
-         every post-recovery mutation reuse historical journal keys —
-         which the journal's first-write-wins dedup then drops. *)
-      let applied = ref 0
-      and max_seq = ref (if watermark = min_int then -1 else watermark - 1) in
+      let applied = ref 0 and max_seq = ref (watermark - 1) in
       List.iter
         (fun (e : Campaign.Journal.entry) ->
           (* Entries below the restored watermark are already folded into
@@ -285,10 +265,10 @@ let create (config : config) =
           | Some s when s < watermark -> ()
           | _ -> (
             match replay_entry lv ~record_dedup e with
-            | Some s when s >= watermark ->
+            | Some s ->
               incr applied;
-              if s > !max_seq then max_seq := s
-            | Some _ | None -> ()))
+              max_seq := max !max_seq s
+            | None -> ()))
         (Campaign.Journal.entries j);
       (lv, Some j, !applied, max 0 (!max_seq + 1))
   in
@@ -300,7 +280,6 @@ let create (config : config) =
     journal;
     snapshot_path = config.snapshot;
     snapshot_every = config.snapshot_every;
-    gen_seqs = None;
     seq;
     draining = false;
     shed = false;
@@ -323,12 +302,10 @@ let next_seq t =
 let snapshot_now t =
   match (t.journal, t.snapshot_path) with
   | Some j, Some path -> (
+    (* [dedup_add] keeps the FIFO's keys and the table's equal. *)
     let dedup =
       Queue.fold
-        (fun acc key ->
-          match Hashtbl.find_opt t.dedup key with
-          | Some resp -> (fst key, snd key, resp) :: acc
-          | None -> acc)
+        (fun acc ((sid, rid) as key) -> (sid, rid, Hashtbl.find t.dedup key) :: acc)
         [] t.dedup_fifo
       |> List.rev
     in
@@ -339,41 +316,20 @@ let snapshot_now t =
         dedup;
       }
     in
-    (* First checkpoint since startup: scan the surviving on-disk
-       generations (pre-rotation) so their watermarks can floor the
-       compaction below.  Deferred to here rather than done in
-       [create] so recovery time stays O(restored generation + tail),
-       not O(all generations). *)
-    let prev_gens =
-      match t.gen_seqs with
-      | Some l -> l
-      | None ->
-        List.map snd
-          (Snapshot.generation_seqs ~path ~keep:t.config.snapshot_keep)
-    in
-    match Snapshot.write ~path ~keep:t.config.snapshot_keep s with
+    let keep = t.config.snapshot_keep in
+    match Snapshot.write ~path ~keep s with
     | Ok () ->
-      (* Every journal entry with sequence < [t.seq] is folded into the
-         (validated) new generation, but older generations on disk still
-         need their tail: retain entries back to the oldest kept
-         generation's watermark, so falling back N generations during
-         recovery still finds every mutation since that checkpoint.
-         With [snapshot_keep = 1] the floor is [t.seq] and the journal
-         compacts to empty, exactly the single-snapshot behaviour. *)
-      let keep_gens =
-        List.filteri (fun i _ -> i < t.config.snapshot_keep - 1) prev_gens
+      (* Every entry journalled so far is folded into the (validated)
+         new generation 0.  Each generation k >= 1 still on disk was
+         generation k-1 before the write, so after the rotation
+         segments 0..k hold its tail: keep the segments up to the oldest
+         generation left.  A lone generation empties the journal. *)
+      let rec oldest k =
+        if k > 0 && not (Sys.file_exists (Snapshot.generation_path path k))
+        then oldest (k - 1)
+        else k
       in
-      t.gen_seqs <- Some (t.seq :: keep_gens);
-      let floor = List.fold_left min t.seq keep_gens in
-      let retained =
-        List.filter
-          (fun (e : Campaign.Journal.entry) ->
-            match seq_of_key e.key with
-            | Some s -> s >= floor
-            | None -> true (* unparseable: retain conservatively *))
-          (Campaign.Journal.entries j)
-      in
-      Campaign.Journal.rewrite j retained;
+      Campaign.Journal.rotate j ~keep:(oldest (keep - 1) + 1);
       t.muts_since_snapshot <- 0;
       t.snapshots <- t.snapshots + 1;
       if Obs.Probe.on () then Obs.Metrics.incr m_snapshots;
@@ -433,8 +389,6 @@ let view_of_job (j : Online.State.job) : job_view =
     arrival = Online.State.arrival j;
     finish;
   }
-
-let completed_count t = completed_of t.lv
 
 let drain_all t ~journal:write_entry ~sid ~rid =
   t.draining <- true;
@@ -599,10 +553,10 @@ let handle t ~clients (req : request) =
       | Drain ->
         (* [at] is ignored: a drain always runs from the current model
            time to completion of every live job. *)
-        let before = completed_count t in
+        let before = completed_of t.lv in
         if drain_all t ~journal:true ~sid:req.sid ~rid:(Some req.rid) then begin
           cacheable := true;
-          R_drained { time = now t; completed = completed_count t - before }
+          R_drained { time = now t; completed = completed_of t.lv - before }
         end
         else
           R_error
@@ -622,7 +576,7 @@ let handle t ~clients (req : request) =
        [Overload] would wrongly pin a client to rejection after the
        backlog clears. *)
     (match req.sid with
-    | Some sid when !cacheable -> dedup_add t ~sid ~rid:req.rid resp
+    | Some sid when !cacheable -> dedup_add t.dedup t.dedup_fifo (sid, req.rid) resp
     | _ -> ());
     maybe_snapshot t;
     resp

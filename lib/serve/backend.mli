@@ -18,19 +18,33 @@
     mutations the backend checkpoints the full live-core state
     ({!Online.Service.live_persist}) plus the dedup cache to a
     {!Snapshot} file and — only after the snapshot is written, re-read
-    and validated — compacts the journal down to the entries newer than
-    the {e oldest} kept checkpoint.  The last [config.snapshot_keep]
-    validated checkpoints are retained as generations
-    ([path], [path.1], ...); recovery restores from the newest valid
-    one and replays only the entries at or past its sequence watermark,
-    making restart cost O(live jobs + post-snapshot events) instead of
-    O(history).  An invalid generation (torn write, injected fault) is
-    quarantined and recovery falls back generation by generation before
-    resorting to full journal replay; since the journal always retains
-    every mutation since the oldest surviving checkpoint, no committed
-    mutation can be lost to a torn checkpoint — one torn file costs one
-    generation of extra replay, nothing more.  With [snapshot_keep = 1]
-    compaction empties the journal, the pre-generation behaviour.
+    and validated — rotates the journal ({!Campaign.Journal.rotate}).
+    The last [config.snapshot_keep] validated checkpoints are retained
+    as generations ([path], [path.1], ...) beside one journal segment
+    per generation: segment 0 ([journal]) takes the appends since the
+    newest checkpoint, segment [k] ([journal.k]) the entries journalled
+    between generation [k]'s checkpoint and generation [k-1]'s.  The
+    rotation drops every segment older than the oldest generation still
+    on disk, so with [snapshot_keep = 1] the journal is emptied.
+
+    Recovery restores from the newest valid generation and replays only
+    the entries at or past its sequence watermark, making restart cost
+    O(live jobs + post-snapshot events) instead of O(history).  An
+    invalid generation (torn write, injected fault) is quarantined and
+    recovery falls back generation by generation before resorting to
+    full journal replay.  What makes the fallback lossless is this
+    invariant: {e for every valid generation [k] on disk, segments
+    [0..k] hold every entry whose seq is at least [k]'s watermark.}  A
+    checkpoint shifts the generations and then the segments one slot
+    down, so a crash between any two of its file operations leaves it
+    true: a generation shifted ahead of the segments only finds its tail
+    in lower segments than it needs.  One torn file therefore costs one
+    generation of extra replay, nothing more.
+
+    The checkpoint only unlinks files and renames into vacant names
+    (except the publish with [snapshot_keep = 1], see {!Snapshot.write}),
+    and nothing calls [fsync]: the journal and the checkpoints survive a
+    killed process, not a power loss.
 
     {2 Exactly-once retries}
 
@@ -126,21 +140,21 @@ val recovered : t -> int
     by the snapshot and not counted). *)
 
 val snapshots_written : t -> int
-(** Snapshots successfully written (and journal compactions performed)
+(** Snapshots successfully written (and journal rotations performed)
     since start-up. *)
 
 val live_jobs : t -> int
 (** Jobs admitted but not yet finished or cancelled. *)
 
 val snapshot_now : t -> (unit, string) result
-(** Checkpoint immediately: rotate the surviving generations, persist
-    the live core + dedup cache to the configured snapshot path and, on
-    success, compact the journal down to the entries at or past the
-    oldest kept generation's watermark (to empty when
-    [snapshot_keep = 1]).  [Error reason] when snapshotting is not
-    configured or the written file failed validation (in which case the
-    journal and existing generations are left untouched and recovery
-    still has full history). *)
+(** Checkpoint immediately: persist the live core + dedup cache to the
+    configured snapshot path, rotating the surviving generations, and
+    on success rotate the journal, keeping one segment per generation
+    still on disk (none past the fresh one when [snapshot_keep = 1]).
+    [Error reason] when snapshotting is not configured or the written
+    file failed validation (in which case the journal and existing
+    generations are left untouched and recovery still has full
+    history). *)
 
 val take_notices : t -> Online.Service.notice list
 (** Drain the notices (re-solves, completions) the live core emitted

@@ -257,18 +257,17 @@ let validate ~path =
   if Sys.file_exists path then parse_file path else Error "no snapshot file"
 
 let load ~path =
-  if not (Sys.file_exists path) then None
-  else
-    match parse_file path with
-    | Ok t -> Some t
-    | Error _ ->
-      (* Preserve the corrupt file for post-mortems and fall back to
-         journal replay.  Lossless: the journal is only ever compacted
-         after a freshly written snapshot passes validation (below), so
-         a snapshot that is corrupt on disk coexists with a journal that
-         still holds full history. *)
-      (try Sys.rename path (quarantine_path path) with Sys_error _ -> ());
-      None
+  match validate ~path with
+  | Ok t -> Some t
+  | Error _ when not (Sys.file_exists path) -> None
+  | Error _ ->
+    (* Preserve the corrupt file for post-mortems and fall back to an
+       older generation or journal replay.  Lossless: the journal only
+       rotates after a freshly written snapshot passes validation
+       (below), so a snapshot that is corrupt on disk never took the
+       journal entries it was meant to cover with it. *)
+    (try Sys.rename path (quarantine_path path) with Sys_error _ -> ());
+    None
 
 let load_generations ~path ~keep =
   if keep < 1 then invalid_arg "Snapshot.load_generations: keep must be >= 1";
@@ -281,26 +280,25 @@ let load_generations ~path ~keep =
   in
   go 0
 
-let generation_seqs ~path ~keep =
-  if keep < 1 then invalid_arg "Snapshot.generation_seqs: keep must be >= 1";
-  List.filter_map
-    (fun k ->
-      let p = generation_path path k in
-      if Sys.file_exists p then
-        match parse_file p with Ok t -> Some (k, t.seq) | Error _ -> None
-      else None)
-    (List.init keep Fun.id)
+let file_op = Campaign.Fault.file_op ~site:`Snapshot
 
-(* Shift surviving generations one slot down (k -> k+1, newest first so
-   nothing is clobbered); the oldest slot falls off the end.  Each step
-   is an atomic rename, so a crash mid-rotation leaves every slot either
-   its old or its new valid snapshot — never a torn file. *)
-let rotate ~path ~keep =
+(* Shift the generations one slot down (k -> k+1, oldest first) and
+   publish the new one into the vacated [path]: every rename lands on a
+   vacant name.  The generation in the last slot falls off.  When the
+   slot before it is occupied it is unlinked first, and that neighbour
+   keeps a generation on disk meanwhile; otherwise it goes only after the
+   publish, so a crash never leaves the disk without a generation. *)
+let rotate ~path ~keep ~publish =
+  let gen = generation_path path in
+  let exists k = Sys.file_exists (gen k) in
+  let drop () = if exists (keep - 1) then file_op "unlink" (gen (keep - 1)) Sys.remove in
+  let early = exists (keep - 2) in
+  if early then drop ();
   for k = keep - 2 downto 0 do
-    let src = generation_path path k in
-    if Sys.file_exists src then
-      try Sys.rename src (generation_path path (k + 1)) with Sys_error _ -> ()
-  done
+    if exists k then file_op "rename" (gen k) (fun src -> Sys.rename src (gen (k + 1)))
+  done;
+  publish ();
+  if not early then drop ()
 
 let write ~path ?(keep = 1) t =
   if keep < 1 then invalid_arg "Snapshot.write: keep must be >= 1";
@@ -322,8 +320,10 @@ let write ~path ?(keep = 1) t =
      compacted against an unproven one. *)
   match parse_file tmp with
   | Ok _ ->
-    if keep > 1 then rotate ~path ~keep;
-    Sys.rename tmp path;
+    let publish () = file_op "publish" path (Sys.rename tmp) in
+    (* With a single generation the publish replaces [path]: that is
+       the only atomic replace there is. *)
+    if keep > 1 then rotate ~path ~keep ~publish else publish ();
     Ok ()
   | Error m ->
     (try Sys.remove tmp with Sys_error _ -> ());

@@ -11,9 +11,9 @@
    chain wire+chaos+retries == offline service.
 
    Phase 2 runs a daemon with snapshotting enabled, SIGKILLs it after
-   checkpoints have compacted the journal, and requires the restarted
-   daemon to expose the exact pre-crash job set from snapshot + short
-   replay.
+   two checkpoints have rotated the journal into two segments, and
+   requires the restarted daemon to expose the exact pre-crash job set
+   from snapshot + short replay over both segments.
 
    Part of `dune runtest`; runnable alone as `dune build @chaos`. *)
 
@@ -30,17 +30,23 @@ let snapshot = Filename.concat dir "state.snap"
 
 let fail fmt = Printf.ksprintf failwith fmt
 
+let snapshot_every = 3
+
 let clean_state () =
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [
-      socket;
-      journal;
-      Campaign.Journal.quarantine_path journal;
-      snapshot;
-      Snapshot.quarantine_path snapshot;
-      snapshot ^ ".tmp";
-    ]
+    (socket :: (snapshot ^ ".tmp")
+    :: List.concat_map
+         (fun k ->
+           let seg = Campaign.Journal.segment_path journal k
+           and gen = Snapshot.generation_path snapshot k in
+           [
+             seg;
+             Campaign.Journal.quarantine_path seg;
+             gen;
+             Snapshot.quarantine_path gen;
+           ])
+         [ 0; 1; 2 ])
 
 let daemon_config ?snapshot_path () =
   {
@@ -49,7 +55,7 @@ let daemon_config ?snapshot_path () =
         Backend.default_config with
         journal = Some journal;
         snapshot = snapshot_path;
-        snapshot_every = (if snapshot_path = None then 0 else 4);
+        snapshot_every = (if snapshot_path = None then 0 else snapshot_every);
       };
     socket;
     port = None;
@@ -223,13 +229,15 @@ let () =
   (match expect_ok "cancel" (Client.request c ~at:11. (Protocol.Cancel 1)) with
   | Protocol.R_cancelled _ -> ()
   | _ -> fail "expected cancelled");
-  (* 7 mutations at snapshot_every = 4: at least one checkpoint has
-     compacted the journal by now. *)
+  (* 7 mutations at snapshot_every = 3: two checkpoints have rotated
+     the journal by now, so recovery reads a two-segment journal. *)
   (match expect_ok "status" (Client.request c Protocol.(Query Status)) with
-  | Protocol.R_status { snapshots; _ } when snapshots >= 1 -> ()
+  | Protocol.R_status { snapshots; _ } when snapshots >= 2 -> ()
   | Protocol.R_status { snapshots; _ } ->
-    fail "expected >= 1 snapshot before the kill, saw %d" snapshots
+    fail "expected >= 2 snapshots before the kill, saw %d" snapshots
   | _ -> fail "expected status");
+  if not (Sys.file_exists (Campaign.Journal.segment_path journal 1)) then
+    fail "no journal segment 1 after two checkpoints";
   let before = normalized (Client.request c Protocol.(Query Allocs)) in
   Unix.kill pid Sys.sigkill;
   (match Unix.waitpid [] pid with
@@ -241,7 +249,7 @@ let () =
   let pid = start_daemon ~snapshot_path:snapshot () in
   let c = Client.connect socket in
   (match expect_ok "status" (Client.request c Protocol.(Query Status)) with
-  | Protocol.R_status { recovered; _ } when recovered <= 4 -> ()
+  | Protocol.R_status { recovered; _ } when recovered <= snapshot_every -> ()
   | Protocol.R_status { recovered; _ } ->
     fail "snapshot recovery replayed %d entries, expected <= snapshot_every"
       recovered

@@ -448,11 +448,24 @@ let backend_stats_json_has_solver_counters () =
 
 (* --- journal crash recovery -------------------------------------------- *)
 
+(* A journal's files: every segment and its quarantine side file. *)
+let journal_files path =
+  List.concat_map
+    (fun k ->
+      let seg = Campaign.Journal.segment_path path k in
+      [ seg; Campaign.Journal.quarantine_path seg ])
+    [ 0; 1; 2; 3 ]
+
 let fresh_journal_path name =
   let path = Filename.concat (Filename.get_temp_dir_name ()) name in
-  (try Sys.remove path with Sys_error _ -> ());
-  (try Sys.remove (Campaign.Journal.quarantine_path path) with Sys_error _ -> ());
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) (journal_files path);
   path
+
+(* Intact and corrupt lines of every segment of the journal at [path]. *)
+let scan_segments path =
+  List.map
+    (fun seg -> Campaign.Journal.scan ~path:seg)
+    (Campaign.Journal.segments ~path)
 
 let allocs_payload b =
   (* rid pinned so recovered and original payloads are comparable
@@ -696,7 +709,7 @@ let sbackend ?(snapshot_every = 0) ~journal ~snapshot () =
 let cleanup_snapshot_paths j s =
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
-    ([ j; Campaign.Journal.quarantine_path j ]
+    (journal_files j
     @ List.concat_map
         (fun k ->
           let g = Snapshot.generation_path s k in
@@ -712,9 +725,11 @@ let backend_snapshot_compacts_journal () =
   | Ok () -> ()
   | Error m -> Alcotest.fail ("snapshot failed: " ^ m));
   Alcotest.(check int) "one snapshot written" 1 (Backend.snapshots_written b1);
-  let entries, corrupt = Campaign.Journal.scan ~path:j in
-  Alcotest.(check int) "journal compacted to empty" 0 (List.length entries);
-  Alcotest.(check int) "no corrupt lines" 0 (List.length corrupt);
+  List.iter
+    (fun (entries, corrupt) ->
+      Alcotest.(check int) "journal compacted to empty" 0 (List.length entries);
+      Alcotest.(check int) "no corrupt lines" 0 (List.length corrupt))
+    (scan_segments j);
   let b2 = sbackend ~journal:j ~snapshot:s () in
   Alcotest.(check int) "nothing replayed" 0 (Backend.recovered b2);
   Alcotest.(check string) "snapshot restored the exact state" before
@@ -827,14 +842,15 @@ let backend_generation_fallback () =
   | Ok () -> ()
   | Error m -> Alcotest.fail ("second snapshot failed: " ^ m));
   (* The second checkpoint rotated the first to generation 1, and the
-     compacted journal kept the tail back to generation 1's watermark
-     (submit 2 + cancel), plus this post-checkpoint submit. *)
+     journal kept the tail back to generation 1's watermark (submit 2 +
+     cancel, now segment 1), plus this post-checkpoint submit. *)
   submit 3 9.;
   Alcotest.(check bool) "generation 1 on disk" true
     (Sys.file_exists (Snapshot.generation_path s 1));
-  let entries, _ = Campaign.Journal.scan ~path:j in
   Alcotest.(check int) "journal retains the older generation's tail" 3
-    (List.length entries);
+    (List.fold_left
+       (fun n (entries, _) -> n + List.length entries)
+       0 (scan_segments j));
   let before = allocs_payload b1 in
   (* Tear the newest checkpoint on disk: recovery must quarantine it,
      restore generation 1 and replay the retained tail — never resort
@@ -868,6 +884,175 @@ let backend_all_generations_corrupt_full_replay () =
   Alcotest.(check bool) "generation 1 quarantined" true
     (Sys.file_exists (Snapshot.quarantine_path (Snapshot.generation_path s 1)));
   cleanup_snapshot_paths j s
+
+(* --- checkpoint crash cuts ---------------------------------------------- *)
+
+let with_temp_dir name f =
+  let dir = Filename.temp_dir ("cosched-" ^ name) "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let kbackend ~keep ~journal ~snapshot =
+  Backend.create
+    {
+      Backend.default_config with
+      platform;
+      journal = Some journal;
+      snapshot = Some snapshot;
+      snapshot_keep = keep;
+    }
+
+let submit_at b (a : Model.App.t) at =
+  ignore (Backend.handle b ~clients:1 (req ~at (Submit (spec_of_app a))))
+
+let checkpoint b =
+  match Backend.snapshot_now b with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("checkpoint failed: " ^ m)
+
+(* Run [b]'s next checkpoint, cut before operation [cut] of [ops] (the
+   checkpoint's fault points in order) as a SIGKILL there would: the
+   fault point raises and the files on disk are all that survive.
+   [cut = List.length ops] runs it to the end, which pins [ops] as the
+   complete list.  Returns the key cut before, or ["none"]. *)
+let cut_checkpoint b ops cut =
+  let what = match List.nth_opt ops cut with Some (_, key) -> key | None -> "none" in
+  let fault = Campaign.Fault.create ~store_exn:1.0 ~seed:3 () in
+  Campaign.Fault.with_harness fault (fun () ->
+      (* The harness raises at each key's first operation only: spend
+         that on every operation before the cut. *)
+      List.iteri
+        (fun i (site, key) ->
+          if i < cut then
+            try Campaign.Fault.store_point ~site ~key
+            with Campaign.Fault.Injected _ -> ())
+        ops;
+      match Backend.snapshot_now b with
+      | Ok () when cut = List.length ops -> ()
+      | Ok () -> Alcotest.failf "checkpoint ran past the cut before %s" what
+      | Error m -> Alcotest.failf "checkpoint failed: %s" m
+      | exception Campaign.Fault.Injected m ->
+        Alcotest.(check bool)
+          ("cut before " ^ what) true
+          (String.ends_with ~suffix:(what ^ " op 0") m));
+  what
+
+let newest_generation s =
+  List.find_opt (fun k -> Sys.file_exists (Snapshot.generation_path s k)) [ 0; 1; 2 ]
+
+(* A fourth checkpoint of a backend keeping three generations, with
+   mutations around each, so it finds three generations and three
+   non-empty journal segments on disk.  Cut before each of its file
+   operations in turn, recovery must restore the pre-checkpoint state
+   byte for byte, and so must the fallback after the newest surviving
+   generation is torn. *)
+let checkpoint_crash_cuts () =
+  for cut = 0 to 8 do
+    with_temp_dir "cut" @@ fun dir ->
+    let j = Filename.concat dir "d.jsonl" and s = Filename.concat dir "d.snap" in
+    let b = kbackend ~keep:3 ~journal:j ~snapshot:s in
+    let apps = synth ~seed:31 8 in
+    for c = 0 to 2 do
+      submit_at b apps.(2 * c) (float_of_int (2 * c));
+      submit_at b apps.((2 * c) + 1) (float_of_int ((2 * c) + 1));
+      checkpoint b
+    done;
+    submit_at b apps.(6) 6.;
+    ignore (Backend.handle b ~clients:1 (req ~at:6.5 (Cancel 2)));
+    let before = allocs_payload b in
+    let g = Snapshot.generation_path s and seg = Campaign.Journal.segment_path j in
+    let what =
+      cut_checkpoint b
+        [
+          (`Snapshot, "unlink " ^ g 2);
+          (`Snapshot, "rename " ^ g 1);
+          (`Snapshot, "rename " ^ g 0);
+          (`Snapshot, "publish " ^ g 0);
+          (`Journal, "unlink " ^ seg 2);
+          (`Journal, "rename " ^ seg 1);
+          (`Journal, "rename " ^ seg 0);
+          (`Journal, "create " ^ seg 0);
+        ]
+        cut
+    in
+    let recovered () = allocs_payload (kbackend ~keep:3 ~journal:j ~snapshot:s) in
+    Alcotest.(check string) ("recovered after a cut before " ^ what) before
+      (recovered ());
+    (match newest_generation s with
+    | Some k -> corrupt_file (Snapshot.generation_path s k)
+    | None -> Alcotest.failf "no generation on disk after a cut before %s" what);
+    Alcotest.(check string)
+      ("fallback recovered after a cut before " ^ what)
+      before (recovered ())
+  done
+
+(* A crash between the generation shift and the publish leaves [FILE]
+   vacant and the only generation in the last slot.  The next
+   checkpoint must publish before it unlinks that one: cut anywhere,
+   a generation is on disk and recovery is exact. *)
+let checkpoint_after_a_hole_keeps_a_generation () =
+  for cut = 0 to 4 do
+    with_temp_dir "hole" @@ fun dir ->
+    let j = Filename.concat dir "d.jsonl" and s = Filename.concat dir "d.snap" in
+    let b = kbackend ~keep:2 ~journal:j ~snapshot:s in
+    let apps = synth ~seed:33 4 in
+    submit_at b apps.(0) 0.;
+    checkpoint b;
+    submit_at b apps.(1) 1.;
+    ignore
+      (cut_checkpoint b
+         [ (`Snapshot, "rename " ^ s); (`Snapshot, "publish " ^ s) ]
+         1);
+    let b = kbackend ~keep:2 ~journal:j ~snapshot:s in
+    submit_at b apps.(2) 2.;
+    let before = allocs_payload b in
+    let what =
+      cut_checkpoint b
+        [
+          (`Snapshot, "publish " ^ s);
+          (`Snapshot, "unlink " ^ Snapshot.generation_path s 1);
+          (`Journal, "unlink " ^ j);
+          (`Journal, "create " ^ j);
+        ]
+        cut
+    in
+    Alcotest.(check bool)
+      ("a generation on disk after a cut before " ^ what)
+      true
+      (newest_generation s <> None);
+    Alcotest.(check string) ("recovered after a cut before " ^ what) before
+      (allocs_payload (kbackend ~keep:2 ~journal:j ~snapshot:s))
+  done
+
+(* Generations and segments rotate by rename: the second checkpoint
+   moves the first's files, inode and all, one slot down.  Rewriting
+   either file through a tmp copy would give it a new inode. *)
+let checkpoint_rotates_by_rename () =
+  with_temp_dir "rename" @@ fun dir ->
+  let j = Filename.concat dir "d.jsonl" and s = Filename.concat dir "d.snap" in
+  let keep = Backend.default_config.snapshot_keep in
+  let b = kbackend ~keep ~journal:j ~snapshot:s in
+  let apps = synth ~seed:32 3 in
+  submit_at b apps.(0) 0.;
+  checkpoint b;
+  submit_at b apps.(1) 1.;
+  submit_at b apps.(2) 2.;
+  let ino p = (Unix.stat p).Unix.st_ino in
+  let snap_ino = ino s and journal_ino = ino j in
+  checkpoint b;
+  Alcotest.(check int) "FILE.1 is the former FILE" snap_ino
+    (ino (Snapshot.generation_path s 1));
+  Alcotest.(check int) "J.1 is the former J" journal_ino
+    (ino (Campaign.Journal.segment_path j 1));
+  Alcotest.(check (list string)) "no tmp file left" []
+    (List.filter
+       (String.ends_with ~suffix:".tmp")
+       (Array.to_list (Sys.readdir dir)));
+  Alcotest.(check bool) "at most snapshot_keep segments" true
+    (List.length (Campaign.Journal.segments ~path:j) <= keep)
 
 (* --- session: bounded outbound queue ------------------------------------ *)
 
@@ -1345,6 +1530,12 @@ let () =
             backend_generation_fallback;
           test "all generations torn: quarantine chain, full replay"
             backend_all_generations_corrupt_full_replay;
+          test "a checkpoint cut before any file operation recovers"
+            checkpoint_crash_cuts;
+          test "a checkpoint after a mid-rotation crash keeps a generation"
+            checkpoint_after_a_hole_keeps_a_generation;
+          test "checkpoints rotate generations and segments by rename"
+            checkpoint_rotates_by_rename;
         ] );
       ( "session",
         [
