@@ -261,18 +261,19 @@ let experiment_cmd =
   in
   let run id trials seed jobs journal on_failure max_retries trial_timeout csv
       out trace metrics =
-    or_exit "experiment" (fun () ->
-        Option.iter
-          (fun path -> ignore (Campaign.Journal.create ~path : Campaign.Journal.t))
-          journal);
+    let ready = ref false in
+    or_exit ~ready "experiment" @@ fun () ->
     with_obs trace metrics @@ fun () ->
+    (* One journal handle serves every campaign of the run; opening it
+       under the probes counts its quarantined lines in --metrics. *)
+    let journal = Option.map (fun path -> Campaign.Journal.create ~path) journal in
+    ready := true;
     let config =
       {
         Experiments.Runner.trials;
         seed;
         jobs;
         journal;
-        cache = None;
         on_failure;
         max_retries;
         trial_timeout;

@@ -1,5 +1,4 @@
 module Digest = Digest
-module Cache = Cache
 module Journal = Journal
 module Fault = Fault
 module Watchdog = Watchdog
@@ -57,7 +56,6 @@ type stats = {
   total : int;
   computed : int;
   journal_hits : int;
-  cache_hits : int;
   failed : int;
   retried : int;
   quarantined : int;
@@ -106,16 +104,14 @@ let m_failed =
   Obs.Metrics.counter ~help:"trials that exhausted their attempts"
     "campaign.failed"
 
-let run ?(jobs = 1) ?cache ?journal ?on_trial ?(on_failure = `Abort)
+let run ?(jobs = 1) ?journal ?on_trial ?(on_failure = `Abort)
     ?(max_retries = 2) ?trial_timeout ?fault ~key ~work rngs =
   let start = Unix.gettimeofday () in
   let total = Array.length rngs in
   let jobs = if jobs <= 0 then Exec.Pool.default_jobs () else jobs in
-  let keyed = Option.is_some cache || Option.is_some journal in
   let lock = Mutex.create () in
   let completed = ref 0 in
   let journal_hits = ref 0 in
-  let cache_hits = ref 0 in
   let computed = ref 0 in
   let failed = ref 0 in
   let retried = ref 0 in
@@ -125,34 +121,23 @@ let run ?(jobs = 1) ?cache ?journal ?on_trial ?(on_failure = `Abort)
     Mutex.unlock lock
   in
   let compute i rng =
-    if not keyed then begin
+    let fresh () =
       let v = work i rng in
       count computed;
       v
-    end
-    else begin
+    in
+    match journal with
+    | None -> fresh ()
+    | Some j -> (
       let k = key i (Util.Rng.copy rng) in
-      match Option.bind journal (fun j -> Journal.lookup j k) with
+      match Journal.lookup j k with
       | Some v ->
         count journal_hits;
         v
       | None ->
-        let v =
-          match Option.bind cache (fun c -> Cache.find c k) with
-          | Some v ->
-            count cache_hits;
-            v
-          | None ->
-            let v = work i rng in
-            count computed;
-            Option.iter (fun c -> Cache.add c k v) cache;
-            v
-        in
-        Option.iter
-          (fun j -> Journal.append j { Journal.trial = i; key = k; values = v })
-          journal;
-        v
-    end
+        let v = fresh () in
+        Journal.append j { Journal.trial = i; key = k; values = v };
+        v)
   in
   let max_attempts =
     match on_failure with
@@ -221,10 +206,7 @@ let run ?(jobs = 1) ?cache ?journal ?on_trial ?(on_failure = `Abort)
         | Ok _ -> ())
       outcomes
   | `Skip | `Retry -> ());
-  let quarantined =
-    (match journal with Some j -> Journal.quarantined j | None -> 0)
-    + match cache with Some c -> Cache.unreadable c | None -> 0
-  in
+  let quarantined = Option.fold ~none:0 ~some:Journal.quarantined journal in
   {
     outcomes;
     stats =
@@ -232,7 +214,6 @@ let run ?(jobs = 1) ?cache ?journal ?on_trial ?(on_failure = `Abort)
         total;
         computed = !computed;
         journal_hits = !journal_hits;
-        cache_hits = !cache_hits;
         failed = !failed;
         retried = !retried;
         quarantined;
@@ -244,11 +225,10 @@ let run ?(jobs = 1) ?cache ?journal ?on_trial ?(on_failure = `Abort)
 let report s =
   let base =
     Printf.sprintf
-      "%d trial%s (%d computed, %d from journal, %d from cache) in %.2fs on %d \
-       job%s"
+      "%d trial%s (%d computed, %d from journal) in %.2fs on %d job%s"
       s.total
       (if s.total = 1 then "" else "s")
-      s.computed s.journal_hits s.cache_hits s.elapsed s.jobs
+      s.computed s.journal_hits s.elapsed s.jobs
       (if s.jobs = 1 then "" else "s")
   in
   if s.failed = 0 && s.retried = 0 && s.quarantined = 0 then base

@@ -1,13 +1,13 @@
-(** Experiment-campaign engine: sharded, memoized, checkpointable,
-    fault-tolerant trials.
+(** Experiment-campaign engine: sharded, checkpointable, fault-tolerant
+    trials.
 
     A campaign is an array of independent trials, each owning a pre-split
     {!Util.Rng} substream.  {!run} shards the trials over an {!Exec.Pool} of
     worker domains, consults the {!Journal} (checkpoint of a previous,
-    possibly interrupted, run) and the {!Cache} (memo table) before
-    computing anything, checkpoints every freshly computed result, and
-    returns the per-trial outcomes *in trial order* together with run
-    statistics.
+    possibly interrupted, run, and the memo of earlier campaigns sharing
+    the handle) before computing anything, checkpoints every freshly
+    computed result, and returns the per-trial outcomes *in trial order*
+    together with run statistics.
 
     Trials are *isolated*: a raising trial is captured as a structured
     {!trial_outcome} instead of aborting the pool.  The [on_failure]
@@ -27,7 +27,6 @@
     with the same injected-fault schedule. *)
 
 module Digest : module type of Digest
-module Cache : module type of Cache
 module Journal : module type of Journal
 module Fault : module type of Fault
 module Watchdog : module type of Watchdog
@@ -51,12 +50,11 @@ type stats = {
   total : int;  (** Trials in the campaign. *)
   computed : int;  (** Trial computations executed by this run. *)
   journal_hits : int;  (** Trials replayed from the checkpoint journal. *)
-  cache_hits : int;  (** Trials answered by the memo table (this run). *)
   failed : int;  (** Trials that exhausted every attempt. *)
   retried : int;  (** Extra attempts spent on raising trials. *)
   quarantined : int;
-      (** Corrupt journal lines quarantined plus unreadable cache-store
-          lines skipped, as observed by the attached journal/cache. *)
+      (** Corrupt lines the attached journal quarantined when it was
+          opened. *)
   elapsed : float;  (** Wall-clock seconds. *)
   jobs : int;  (** Worker domains used. *)
 }
@@ -80,7 +78,6 @@ val failures : outcome -> (int * failure) list
 
 val run :
   ?jobs:int ->
-  ?cache:Cache.t ->
   ?journal:Journal.t ->
   ?on_trial:(completed:int -> total:int -> unit) ->
   ?on_failure:[ `Abort | `Skip | `Retry ] ->
@@ -99,9 +96,10 @@ val run :
     the calling domain, [0] means {!Exec.Pool.default_jobs}.
 
     [key i rng] must name the trial's content (see {!Digest}); it is only
-    invoked — on its own RNG copy — when a cache or journal is present.
-    Workers probe the journal first, then the cache; fresh results are
-    added to both.  [on_trial] is called after each settled trial (from
+    invoked — on its own RNG copy — when a journal is present.  Workers
+    probe the journal and append every fresh result to it, so one handle
+    passed to several campaigns also answers a trial any of them has
+    already computed.  [on_trial] is called after each settled trial (from
     worker domains, under a lock) with the running completion count —
     progress reporting for long campaigns.
 
@@ -112,6 +110,6 @@ val run :
     {!Fault} harness for the duration of the run. *)
 
 val report : stats -> string
-(** One-line human-readable summary: trials, computed/journal/cache
-    split, elapsed time and job count, plus the failure counters
+(** One-line human-readable summary: trials, computed/journal split,
+    elapsed time and job count, plus the failure counters
     (failed/retried/quarantined) whenever any is nonzero. *)

@@ -1,11 +1,11 @@
-(** Stable content hashing for campaign cache keys.
+(** Stable content hashing for campaign journal keys.
 
     A 64-bit FNV-1a accumulator over an explicit byte serialisation of the
     hashed values: keys depend only on field *contents* (floats are hashed
     through their IEEE-754 bits, strings are length-prefixed), never on
     physical identity or on [Stdlib.Hashtbl.hash]'s traversal limits, so a
-    key computed today matches a key stored in an on-disk cache or journal
-    by a past run. *)
+    key computed today matches a key stored in an on-disk journal by a
+    past run. *)
 
 type t
 (** Mutable accumulator. *)
@@ -39,8 +39,8 @@ val to_hex : t -> string
 
 val of_string : string -> string
 (** One-shot digest of a raw byte string (no length prefix) — the
-    per-line checksum used by {!Journal} and {!Cache} to detect torn or
-    corrupted store entries. *)
+    per-line checksum used by {!Journal} to detect torn or corrupted
+    entries. *)
 
 val instance : platform:Model.Platform.t -> apps:Model.App.t array -> string
 (** One-shot digest of a problem instance. *)
@@ -52,11 +52,11 @@ val trial :
   policies:string list ->
   state:int64 ->
   string
-(** Cache key of one experiment trial: the instance, the policy names (in
+(** Journal key of one experiment trial: the instance, the policy names (in
     evaluation order), the trial RNG's pristine state, and a [kind] tag
     distinguishing payload layouts (e.g. ["mean-makespans"] vs
     ["repartition"]) that could otherwise collide. *)
 
 val tagged : tag:string -> state:int64 -> string
-(** Cache key of an ad-hoc trial fully described by a free-form tag (the
+(** Journal key of an ad-hoc trial fully described by a free-form tag (the
     experiment id and its fixed parameters) plus the trial RNG state. *)

@@ -5,10 +5,9 @@ let () =
     | Injected what -> Some (Printf.sprintf "Campaign.Fault.Injected(%s)" what)
     | _ -> None)
 
-type store_site = [ `Cache | `Journal | `Snapshot ]
+type store_site = [ `Journal | `Snapshot ]
 
 let store_site_tag = function
-  | `Cache -> "cache"
   | `Journal -> "journal"
   | `Snapshot -> "snapshot"
 

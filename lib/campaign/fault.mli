@@ -1,13 +1,13 @@
 (** Deterministic fault injection for the campaign stack.
 
     A harness describes a *schedule* of injected failures — task
-    exceptions and delays at trial boundaries, exceptions in the cache and
-    journal stores, torn (prefix-only) persisted lines — where every
+    exceptions and delays at trial boundaries, exceptions in the journal
+    and snapshot stores, torn (prefix-only) persisted lines — where every
     decision is a pure function of the harness seed and the event's
     identity (trial index, store key), never of wall-clock time or worker
     interleaving.  The same harness therefore injects byte-for-byte the
     same faults at any [--jobs] count, which is what makes the failure
-    paths of the trial pool, {!Cache}, {!Journal} and {!Campaign}
+    paths of the trial pool, {!Journal} and {!Campaign}
     testable and bit-reproducible.
 
     Arm a harness with {!with_harness} (or [Campaign.run ~fault]); the
@@ -18,10 +18,10 @@ exception Injected of string
 (** The exception every injected failure raises; the payload names the
     site, key and attempt so failure reports are self-describing. *)
 
-type store_site = [ `Cache | `Journal | `Snapshot ]
-(** Persistent stores whose writers are instrumented: the campaign result
-    cache, the write-ahead journal, and the serving layer's live-state
-    snapshots ({!Serve.Snapshot}). *)
+type store_site = [ `Journal | `Snapshot ]
+(** Persistent stores whose writers are instrumented: the write-ahead
+    journal and the serving layer's live-state snapshots
+    ({!Serve.Snapshot}). *)
 
 type t
 
@@ -43,7 +43,7 @@ val create :
     [fail_attempts] (default [max_int]) bounds how many successive
     attempts of an affected trial fail — set it below a campaign's retry
     budget to exercise the retry-then-succeed path.  [store_exn] is the
-    probability that operations on an affected cache/journal key raise,
+    probability that operations on an affected journal key raise,
     for the key's first [store_attempts] (default 1) operations.
     [torn_write] is the probability that an affected key's persisted line
     is written as a proper prefix of itself (a torn write), which the
@@ -64,7 +64,7 @@ val task_point : trial:int -> attempt:int -> unit
 (** Entry of a trial attempt: may sleep and/or raise {!Injected}. *)
 
 val store_point : site:store_site -> key:string -> unit
-(** Entry of a cache/journal mutation: may raise {!Injected}. *)
+(** Entry of a journal or snapshot mutation: may raise {!Injected}. *)
 
 val file_op : site:store_site -> string -> string -> (string -> unit) -> unit
 (** [file_op ~site op path f] runs [f path] behind a {!store_point}

@@ -71,25 +71,15 @@ let parse_values rest =
     Array.of_list (List.map float_of_string (String.split_on_char ',' rest))
 
 (* [Some entry] for an intact line, [None] for a corrupt/torn/mismatched
-   one.  Lines written before checksums existed (no "sum" field) are
-   grandfathered in unverified. *)
+   one, including a line without its "sum" field. *)
 let parse_line line =
-  let entry trial key rest =
-    try Some { trial; key; values = parse_values rest } with Failure _ -> None
-  in
-  match
+  try
     Scanf.sscanf line " {\"trial\":%d,\"key\":%S,\"values\":[%s@],\"sum\":%S}%!"
       (fun trial key rest sum ->
         if String.equal sum (checksum ~trial ~key ~values_str:rest) then
-          entry trial key rest
+          Some { trial; key; values = parse_values rest }
         else None)
-  with
-  | r -> r
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> (
-    (* Legacy pre-checksum format. *)
-    try
-      Scanf.sscanf line " {\"trial\":%d,\"key\":%S,\"values\":[%s@]}%!" entry
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
 let scan ~path =
   if not (Sys.file_exists path) then ([], [])

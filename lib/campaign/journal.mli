@@ -15,9 +15,9 @@
     checksum of the raw field texts, so any single-byte corruption of a
     line is detected on reload.
 
-    {!create} replays an existing journal.  Intact lines (including
-    pre-checksum legacy lines, accepted unverified) are loaded; torn,
-    truncated or checksum-mismatched lines are *quarantined*: preserved
+    {!create} replays an existing journal.  Intact lines are loaded;
+    torn, truncated or checksum-mismatched lines, and lines without a
+    [sum] field, are *quarantined*: preserved
     verbatim in [path ^ ".quarantine"], counted in {!quarantined}, and
     dropped from the replayed state — a resumed campaign recomputes
     exactly those trials, and {!create} heals the journal in place

@@ -7,8 +7,7 @@ type config = {
   trials : int;
   seed : int;
   jobs : int;
-  journal : string option;
-  cache : Campaign.Cache.t option;
+  journal : Campaign.Journal.t option;
   on_failure : [ `Abort | `Skip | `Retry ];
   max_retries : int;
   trial_timeout : float option;
@@ -21,7 +20,6 @@ let default_config =
     seed = 2017;
     jobs = 1;
     journal = None;
-    cache = None;
     on_failure = `Abort;
     max_retries = 2;
     trial_timeout = None;
@@ -38,10 +36,7 @@ let trial_rngs config =
    config so every experiment entry point inherits them. *)
 let run_campaign ~config ~key ~work =
   let rngs = Array.of_list (trial_rngs config) in
-  let journal =
-    Option.map (fun path -> Campaign.Journal.create ~path) config.journal
-  in
-  Campaign.run ~jobs:config.jobs ?cache:config.cache ?journal
+  Campaign.run ~jobs:config.jobs ?journal:config.journal
     ~on_failure:config.on_failure ~max_retries:config.max_retries
     ?trial_timeout:config.trial_timeout ?fault:config.fault ~key ~work rngs
 
@@ -128,7 +123,7 @@ type repartition_stat = {
 (* One repartition trial's payload: for each policy, the allocation count
    followed by the per-application processor counts and cache fractions
    (0 when the policy has no concurrent schedule).  Storing raw samples
-   rather than folded statistics keeps the journal/cache payload exact and
+   rather than folded statistics keeps the journal payload exact and
    the merge bit-identical to the sequential accumulation. *)
 let repartition_payload ~policies ~platform ~apps rng =
   Array.of_list

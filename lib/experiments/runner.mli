@@ -7,9 +7,8 @@
     instances at the same sweep point (paired comparison).
 
     All trial execution is sharded through the {!Campaign} engine: trials
-    run on [config.jobs] worker domains, can be memoized through
-    [config.cache] and checkpointed/resumed through [config.journal], and
-    inherit the campaign's fault tolerance — per-trial isolation, the
+    run on [config.jobs] worker domains, are checkpointed/resumed through
+    [config.journal], and inherit the campaign's fault tolerance — per-trial isolation, the
     [config.on_failure] policy with [config.max_retries] deterministic
     retries, and a cooperative [config.trial_timeout] deadline polled at
     policy boundaries.  Results are bit-identical for every [jobs] value
@@ -30,11 +29,11 @@ type config = {
   trials : int;  (** Repetitions per point; the paper uses 50. *)
   seed : int;    (** Master seed; each trial gets a split substream. *)
   jobs : int;    (** Worker domains; 1 = sequential, 0 = one per core. *)
-  journal : string option;
-      (** Checkpoint journal path; re-running with the same path skips
-          trials already completed (see {!Campaign.Journal}). *)
-  cache : Campaign.Cache.t option;
-      (** Memo table shared across sweeps (see {!Campaign.Cache}). *)
+  journal : Campaign.Journal.t option;
+      (** Checkpoint journal, opened once by the caller and shared by
+          every campaign of the run; a trial already journalled, by this
+          run or an interrupted earlier one, is replayed instead of
+          recomputed (see {!Campaign.Journal}). *)
   on_failure : [ `Abort | `Skip | `Retry ];
       (** Trial-failure policy (see {!Campaign.run}); [`Abort] is the
           historical fail-fast behaviour. *)
@@ -48,8 +47,8 @@ type config = {
 }
 
 val default_config : config
-(** 50 trials, seed 2017 (the publication year), 1 job, no journal, no
-    cache, [`Abort] on failure, retry budget 2, no deadline, no fault
+(** 50 trials, seed 2017 (the publication year), 1 job, no journal,
+    [`Abort] on failure, retry budget 2, no deadline, no fault
     harness — exactly the historical sequential behaviour. *)
 
 val trial_rngs : config -> Util.Rng.t list
@@ -63,7 +62,7 @@ val run_trials :
     trial on that trial's substream and returns the outcomes in trial
     order.  [tag] must uniquely name the computation (experiment id plus
     fixed parameters); together with the trial RNG state it forms the
-    memo/journal key. *)
+    journal key. *)
 
 val mean_makespans :
   config:config -> gen:(Util.Rng.t -> instance) ->

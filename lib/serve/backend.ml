@@ -32,7 +32,8 @@ let m_snapshots =
     "serve.snapshots"
 
 let m_snapshot_failures =
-  Obs.Metrics.counter ~help:"snapshot writes that failed validation"
+  Obs.Metrics.counter
+    ~help:"checkpoints that failed validation or raised an I/O error"
     "serve.snapshot_failures"
 
 let m_dedup_hits =
@@ -317,8 +318,18 @@ let snapshot_now t =
       }
     in
     let keep = t.config.snapshot_keep in
+    let failed m =
+      if Obs.Probe.on () then Obs.Metrics.incr m_snapshot_failures;
+      Error m
+    in
+    (* An I/O error (say, the snapshot directory removed under a running
+       daemon) fails this checkpoint, not the request that triggered it:
+       the journal still holds the full history, and a failed publish
+       never rotates it. *)
     match Snapshot.write ~path ~keep s with
-    | Ok () ->
+    | exception Sys_error m -> failed m
+    | Error m -> failed m
+    | Ok () -> (
       (* Every entry journalled so far is folded into the (validated)
          new generation 0.  Each generation k >= 1 still on disk was
          generation k-1 before the write, so after the rotation
@@ -329,14 +340,13 @@ let snapshot_now t =
         then oldest (k - 1)
         else k
       in
-      Campaign.Journal.rotate j ~keep:(oldest (keep - 1) + 1);
-      t.muts_since_snapshot <- 0;
-      t.snapshots <- t.snapshots + 1;
-      if Obs.Probe.on () then Obs.Metrics.incr m_snapshots;
-      Ok ()
-    | Error m ->
-      if Obs.Probe.on () then Obs.Metrics.incr m_snapshot_failures;
-      Error m)
+      match Campaign.Journal.rotate j ~keep:(oldest (keep - 1) + 1) with
+      | exception Sys_error m -> failed m
+      | () ->
+        t.muts_since_snapshot <- 0;
+        t.snapshots <- t.snapshots + 1;
+        if Obs.Probe.on () then Obs.Metrics.incr m_snapshots;
+        Ok ()))
   | _ -> Error "snapshotting is not configured"
 
 let journal_entry t key values =

@@ -151,10 +151,12 @@ val snapshot_now : t -> (unit, string) result
     configured snapshot path, rotating the surviving generations, and
     on success rotate the journal, keeping one segment per generation
     still on disk (none past the fresh one when [snapshot_keep = 1]).
-    [Error reason] when snapshotting is not configured or the written
+    [Error reason] when snapshotting is not configured, the written
     file failed validation (in which case the journal and existing
     generations are left untouched and recovery still has full
-    history). *)
+    history), or a file operation raised [Sys_error] (the journal is
+    not rotated after a failed publish).  Every failure counts in
+    [serve.snapshot_failures]; none raises. *)
 
 val take_notices : t -> Online.Service.notice list
 (** Drain the notices (re-solves, completions) the live core emitted

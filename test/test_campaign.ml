@@ -1,5 +1,5 @@
 (* Tests for the experiment-campaign engine: domain pool ordering and
-   exception propagation, digest stability, cache accounting, journal
+   exception propagation, digest stability, journal
    checkpoint/resume (including crash-truncated and corrupted files),
    trial isolation with the abort/skip/retry policies, the cooperative
    watchdog, deterministic fault injection, and end-to-end determinism of
@@ -135,77 +135,6 @@ let digest_sensitive () =
     (Campaign.Digest.tagged ~tag:"ab" ~state:1L
     <> Campaign.Digest.tagged ~tag:"a" ~state:1L)
 
-(* --- Cache ---------------------------------------------------------------- *)
-
-let cache_accounting () =
-  let c = Campaign.Cache.create () in
-  Alcotest.(check (option (array (float 0.)))) "miss first" None
-    (Campaign.Cache.find c "k1");
-  Campaign.Cache.add c "k1" [| 1.5; -2.25 |];
-  Alcotest.(check (option (array (float 0.))))
-    "hit after add"
-    (Some [| 1.5; -2.25 |])
-    (Campaign.Cache.find c "k1");
-  ignore (Campaign.Cache.find c "k2");
-  Alcotest.(check int) "1 hit" 1 (Campaign.Cache.hits c);
-  Alcotest.(check int) "2 misses" 2 (Campaign.Cache.misses c);
-  Alcotest.(check int) "1 entry" 1 (Campaign.Cache.length c);
-  (* First write wins. *)
-  Campaign.Cache.add c "k1" [| 9. |];
-  Alcotest.(check (option (array (float 0.))))
-    "re-add ignored"
-    (Some [| 1.5; -2.25 |])
-    (Campaign.Cache.find c "k1")
-
-let cache_disk_roundtrip () =
-  let path = tmp_path ".cache" in
-  Sys.remove path;
-  let values = [| Float.pi; -0.; 1e-308; 12345.6789; infinity |] in
-  let c1 = Campaign.Cache.create ~path () in
-  Campaign.Cache.add c1 "deadbeef" values;
-  Campaign.Cache.add c1 "cafe" [||];
-  Campaign.Cache.close c1;
-  let c2 = Campaign.Cache.create ~path () in
-  Alcotest.(check int) "no unreadable line" 0 (Campaign.Cache.unreadable c2);
-  (match Campaign.Cache.find c2 "deadbeef" with
-  | None -> Alcotest.fail "entry lost on reload"
-  | Some got ->
-    Alcotest.(check int) "width" (Array.length values) (Array.length got);
-    Array.iteri
-      (fun i v ->
-        Alcotest.(check bool)
-          (Printf.sprintf "bit-exact value %d" i)
-          true
-          (Int64.bits_of_float v = Int64.bits_of_float got.(i)))
-      values);
-  Alcotest.(check (option (array (float 0.)))) "empty payload survives"
-    (Some [||])
-    (Campaign.Cache.find c2 "cafe");
-  Campaign.Cache.close c2;
-  Sys.remove path
-
-let cache_corrupt_store_skipped () =
-  let path = tmp_path ".cache" in
-  Sys.remove path;
-  let c1 = Campaign.Cache.create ~path () in
-  Campaign.Cache.add c1 "aa" [| 1.5 |];
-  Campaign.Cache.add c1 "bb" [| 2.5 |];
-  Campaign.Cache.close c1;
-  (* Flip one byte of the first line: the checksum must reject it. *)
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  let b = Bytes.of_string s in
-  Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 1));
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (Bytes.to_string b));
-  let c2 = Campaign.Cache.create ~path () in
-  Alcotest.(check int) "corrupt line counted" 1 (Campaign.Cache.unreadable c2);
-  Alcotest.(check int) "intact line loaded" 1 (Campaign.Cache.length c2);
-  Alcotest.(check (option (array (float 0.)))) "intact entry survives"
-    (Some [| 2.5 |])
-    (Campaign.Cache.find c2 "bb");
-  Campaign.Cache.close c2;
-  Sys.remove path
-
 (* --- Journal -------------------------------------------------------------- *)
 
 let journal_roundtrip () =
@@ -239,6 +168,45 @@ let journal_roundtrip () =
   in
   Alcotest.(check (list int)) "entries in append order" [ 0; 1; 2 ] trials;
   Sys.remove path
+
+(* A line stripped of its checksum is not trusted: it is quarantined
+   like any other corrupt line and its trial recomputed. *)
+let journal_unsummed_line_quarantined () =
+  let path = tmp_path ".jsonl" in
+  Sys.remove path;
+  let j = Campaign.Journal.create ~path in
+  Campaign.Journal.append j
+    { Campaign.Journal.trial = 0; key = "aa"; values = [| 1. |] };
+  Campaign.Journal.append j
+    { Campaign.Journal.trial = 1; key = "bb"; values = [| 2. |] };
+  let strip line =
+    let marker = ",\"sum\":" in
+    let rec find i =
+      if String.sub line i (String.length marker) = marker then i
+      else find (i + 1)
+    in
+    String.sub line 0 (find 0) ^ "}"
+  in
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let stripped = strip (List.hd lines) in
+  Alcotest.(check string) "sum field stripped"
+    "{\"trial\":0,\"key\":\"aa\",\"values\":[1]}" stripped;
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (String.concat "\n" (stripped :: List.tl lines)));
+  let resumed = Campaign.Journal.create ~path in
+  Alcotest.(check int) "unsummed line quarantined" 1
+    (Campaign.Journal.quarantined resumed);
+  Alcotest.(check (option (array (float 0.)))) "unsummed entry absent" None
+    (Campaign.Journal.lookup resumed "aa");
+  Alcotest.(check (option (array (float 0.)))) "summed entry survives"
+    (Some [| 2. |])
+    (Campaign.Journal.lookup resumed "bb");
+  Sys.remove path;
+  remove_if_exists (Campaign.Journal.quarantine_path path)
 
 let journal_crash_resume () =
   let path = tmp_path ".jsonl" in
@@ -439,17 +407,30 @@ let campaign_progress_and_stats () =
   Alcotest.(check bool) "clean report omits failure counters" false
     (contains r "failed")
 
-let campaign_cache_accounting () =
-  let cache = Campaign.Cache.create () in
+(* One journal handle shared by several campaigns, as a figure run
+   shares it: the second campaign replays the first one's trials from
+   memory and writes nothing. *)
+let campaign_shared_journal_memo () =
+  let path = tmp_path ".jsonl" in
+  Sys.remove path;
+  let journal = Campaign.Journal.create ~path in
   let rngs = split_rngs ~seed:5 16 in
-  let first = Campaign.run ~jobs:2 ~cache ~key:campaign_key ~work:campaign_work rngs in
+  let run () =
+    Campaign.run ~jobs:2 ~journal ~key:campaign_key ~work:campaign_work rngs
+  in
+  let first = run () in
   Alcotest.(check int) "cold: all computed" 16 first.Campaign.stats.Campaign.computed;
-  Alcotest.(check int) "cold: no cache hit" 0 first.Campaign.stats.Campaign.cache_hits;
-  let second = Campaign.run ~jobs:2 ~cache ~key:campaign_key ~work:campaign_work rngs in
+  Alcotest.(check int) "cold: no journal hit" 0
+    first.Campaign.stats.Campaign.journal_hits;
+  let second = run () in
   Alcotest.(check int) "warm: nothing computed" 0 second.Campaign.stats.Campaign.computed;
-  Alcotest.(check int) "warm: all cache hits" 16 second.Campaign.stats.Campaign.cache_hits;
+  Alcotest.(check int) "warm: all journal hits" 16
+    second.Campaign.stats.Campaign.journal_hits;
   Alcotest.(check bool) "warm results identical" true
-    (Campaign.results second = Campaign.results first)
+    (Campaign.results second = Campaign.results first);
+  Alcotest.(check int) "each trial journalled once" 16
+    (List.length (Campaign.Journal.load ~path));
+  Sys.remove path
 
 let campaign_journal_resume () =
   let path = tmp_path ".jsonl" in
@@ -626,7 +607,7 @@ let fault_decisions_are_pure () =
     (Campaign.Fault.active () = None);
   (* Unarmed instrumentation points are no-ops. *)
   Campaign.Fault.task_point ~trial:0 ~attempt:0;
-  Campaign.Fault.store_point ~site:`Cache ~key:"k";
+  Campaign.Fault.store_point ~site:`Journal ~key:"k";
   Alcotest.(check string) "mangle is identity when unarmed" "line"
     (Campaign.Fault.mangle ~site:`Journal ~key:"k" "line")
 
@@ -667,11 +648,13 @@ let fault_store_exn_retry_recovers () =
   let base =
     Campaign.results (Campaign.run ~key:campaign_key ~work:campaign_work rngs)
   in
-  let cache = Campaign.Cache.create () in
-  (* Every key's first cache insert raises; the retry recomputes and the
-     second insert (op 2 for the key) goes through. *)
+  let path = tmp_path ".jsonl" in
+  Sys.remove path;
+  let journal = Campaign.Journal.create ~path in
+  (* Every key's first journal append raises; the retry recomputes and
+     the second append (op 2 for the key) goes through. *)
   let o =
-    Campaign.run ~jobs:2 ~cache ~on_failure:`Retry ~max_retries:2
+    Campaign.run ~jobs:2 ~journal ~on_failure:`Retry ~max_retries:2
       ~fault:(Campaign.Fault.create ~store_exn:1.0 ~store_attempts:1 ~seed:5 ())
       ~key:campaign_key ~work:campaign_work rngs
   in
@@ -679,7 +662,16 @@ let fault_store_exn_retry_recovers () =
   Alcotest.(check int) "one retry per trial" 8 o.Campaign.stats.Campaign.retried;
   Alcotest.(check bool) "payloads unaffected by store faults" true
     (Campaign.results o = base);
-  Alcotest.(check int) "cache holds every trial" 8 (Campaign.Cache.length cache)
+  Alcotest.(check int) "recomputed once per trial" 16
+    o.Campaign.stats.Campaign.computed;
+  Alcotest.(check int) "journal holds every trial" 8
+    (Campaign.Journal.length journal);
+  let on_disk = Campaign.Journal.load ~path in
+  Alcotest.(check int) "each trial on disk once" 8 (List.length on_disk);
+  Alcotest.(check (list int)) "every trial journalled"
+    (List.init 8 Fun.id)
+    (List.sort compare (List.map (fun e -> e.Campaign.Journal.trial) on_disk));
+  Sys.remove path
 
 let fault_journal_store_exn () =
   let path = tmp_path ".jsonl" in
@@ -782,12 +774,16 @@ let runner_journal_resume () =
   let path = tmp_path ".jsonl" in
   Sys.remove path;
   let base = sweep_fig ~jobs:1 ~journal:None () in
-  let cold = sweep_fig ~jobs:2 ~journal:(Some path) () in
+  let cold =
+    sweep_fig ~jobs:2 ~journal:(Some (Campaign.Journal.create ~path)) ()
+  in
   Alcotest.(check bool) "journalled run matches plain run" true (cold = base);
   let journalled = List.length (Campaign.Journal.load ~path) in
   Alcotest.(check int) "2 points x 4 trials journalled" 8 journalled;
   (* A rerun replays everything from the journal and changes nothing. *)
-  let warm = sweep_fig ~jobs:4 ~journal:(Some path) () in
+  let warm =
+    sweep_fig ~jobs:4 ~journal:(Some (Campaign.Journal.create ~path)) ()
+  in
   Alcotest.(check bool) "replayed run identical" true (warm = base);
   Alcotest.(check int) "journal unchanged" journalled
     (List.length (Campaign.Journal.load ~path));
@@ -831,18 +827,13 @@ let () =
           test "keys are stable" digest_stable;
           test "keys are content-sensitive" digest_sensitive;
         ] );
-      ( "cache",
-        [
-          test "hit/miss accounting" cache_accounting;
-          test "on-disk store round-trips bit-exactly" cache_disk_roundtrip;
-          test "corrupt store lines are skipped and counted"
-            cache_corrupt_store_skipped;
-        ] );
       ( "journal",
         [
           test "append / replay round-trip" journal_roundtrip;
           test "torn trailing line is quarantined on resume"
             journal_crash_resume;
+          test "a line without its checksum is quarantined"
+            journal_unsummed_line_quarantined;
           qtest journal_corrupt_byte_prop;
           qtest journal_truncate_prop;
         ] );
@@ -852,7 +843,8 @@ let () =
           test "results bit-identical across jobs counts"
             campaign_jobs_deterministic;
           test "progress callback and stats" campaign_progress_and_stats;
-          test "memo table short-circuits repeat runs" campaign_cache_accounting;
+          test "memo table short-circuits repeat runs"
+            campaign_shared_journal_memo;
           test "journal checkpoint resumes an interrupted run"
             campaign_journal_resume;
         ] );
@@ -876,7 +868,7 @@ let () =
             fault_decisions_are_pure;
           test "task faults + retry deterministic across jobs"
             fault_retry_deterministic_across_jobs;
-          test "cache store faults recovered by retry"
+          test "journal store faults recovered by retry"
             fault_store_exn_retry_recovers;
           test "journal store faults do not commit partial state"
             fault_journal_store_exn;

@@ -797,6 +797,40 @@ let backend_torn_snapshot_write_keeps_journal () =
     (allocs_payload b2);
   cleanup_snapshot_paths j s
 
+(* The snapshot directory, apart from the journal's, vanishes under a
+   running backend: every automatic checkpoint fails, but no request
+   does, and the journal alone recovers the state. *)
+let backend_snapshot_dir_removed_keeps_serving () =
+  let j = fresh_journal_path "serve_snap_gone.jsonl" in
+  let dir = Filename.temp_dir "cosched-snapgone" "" in
+  let b1 =
+    sbackend ~snapshot_every:1 ~journal:j
+      ~snapshot:(Filename.concat dir "d.snap") ()
+  in
+  Sys.rmdir dir;
+  let apps = synth ~seed:23 3 in
+  Array.iteri
+    (fun i a ->
+      match
+        reply_of
+          (Backend.handle b1 ~clients:1
+             (req ~at:(float_of_int i) (Submit (spec_of_app a))))
+      with
+      | R_submitted { job } -> Alcotest.(check int) "job id" i job
+      | _ -> Alcotest.fail "submit refused after a failed checkpoint")
+    apps;
+  (match reply_of (Backend.handle b1 ~clients:1 (req (Query Status))) with
+  | R_status { snapshots; live; _ } ->
+    Alcotest.(check int) "no snapshot counted" 0 snapshots;
+    Alcotest.(check int) "every job live" 3 live
+  | _ -> Alcotest.fail "status refused after a failed checkpoint");
+  let before = allocs_payload b1 in
+  let b2 = backend ~journal:j () in
+  Alcotest.(check int) "journal kept every mutation" 3 (Backend.recovered b2);
+  Alcotest.(check string) "identical job set and allocations" before
+    (allocs_payload b2);
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) (journal_files j)
+
 let backend_corrupt_snapshot_falls_back () =
   let j, s = fresh_snapshot_paths "serve_snap_corrupt" in
   let b1 = sbackend ~journal:j ~snapshot:s () in
@@ -1524,6 +1558,8 @@ let () =
             backend_snapshot_every_triggers;
           test "torn snapshot write never compacts"
             backend_torn_snapshot_write_keeps_journal;
+          test "a removed snapshot directory fails checkpoints, not requests"
+            backend_snapshot_dir_removed_keeps_serving;
           test "corrupt snapshot is quarantined, journal replayed"
             backend_corrupt_snapshot_falls_back;
           test "torn newest generation falls back to the older one"
