@@ -1274,7 +1274,7 @@ let journal_cmd =
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
             "What FILE is: $(b,journal), $(b,snapshot), or $(b,auto) \
-             (sniff the first line).")
+             (sniff the file's first bytes).")
   in
   let no_replay_arg =
     Arg.(
@@ -1285,16 +1285,12 @@ let journal_cmd =
              live-job summary needs a replay; counts and the torn-tail \
              report do not).")
   in
+  (* A binary snapshot starts with [Snapshot.magic], a format-1 one
+     with its JSON prefix; anything else is read as a journal. *)
   let sniff file =
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match input_line ic with
-        | line
-          when String.length line >= 12
-               && String.sub line 0 12 = "{\"snapshot\":" -> `Snapshot
-        | _ | (exception End_of_file) -> `Journal)
+    match Serve.Snapshot.file_format ~path:file with
+    | Some _ -> `Snapshot
+    | None -> `Journal
   in
   let copy_file src dst =
     let ic = open_in_bin src in
@@ -1319,7 +1315,7 @@ let journal_cmd =
     | Ok s ->
       let p = s.Serve.Snapshot.persist in
       Printf.printf "snapshot %s: valid (format %d)\n" file
-        Serve.Snapshot.format_version;
+        (Option.value ~default:0 (Serve.Snapshot.file_format ~path:file));
       Printf.printf "  watermark seq   = %d\n" s.Serve.Snapshot.seq;
       Printf.printf "  model time      = %.6g\n" p.Online.Service.p_time;
       Printf.printf "  live jobs       = %d\n" (List.length p.p_jobs);

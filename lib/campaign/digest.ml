@@ -1,33 +1,55 @@
-type t = { mutable h : int64 }
+(* The accumulator lives in 8 bytes rather than in a mutable [int64]
+   field: a field holds a boxed [Int64], so every byte hashed would
+   allocate one.  Each function below loads the state once, folds its
+   bytes through a local that the compiler keeps unboxed, and stores it
+   back: hashing allocates nothing per byte. *)
+type t = Bytes.t
 
 (* FNV-1a, 64-bit variant. *)
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
-let create () = { h = fnv_offset }
+let[@inline] get d = Bytes.get_int64_le d 0
+let[@inline] set d h = Bytes.set_int64_le d 0 h
 
-let byte d b =
-  d.h <- Int64.mul (Int64.logxor d.h (Int64.of_int (b land 0xff))) fnv_prime
+let create () =
+  let d = Bytes.create 8 in
+  set d fnv_offset;
+  d
 
-let int64 d x =
+let[@inline] step h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
+
+let[@inline] fold_int64 h x =
+  let h = ref h in
   for k = 0 to 7 do
-    byte d (Int64.to_int (Int64.shift_right_logical x (8 * k)))
-  done
+    h := step !h (Int64.to_int (Int64.shift_right_logical x (8 * k)))
+  done;
+  !h
 
-let int d i = int64 d (Int64.of_int i)
+let fold_sub h s pos len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h := step !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
+
+let[@inline] int64 d x = set d (fold_int64 (get d) x)
+let[@inline] int d i = int64 d (Int64.of_int i)
 let float d f = int64 d (Int64.bits_of_float f)
-let bool d b = byte d (if b then 1 else 0)
+let bool d b = set d (step (get d) (if b then 1 else 0))
 
 let string d s =
-  int d (String.length s);
-  String.iter (fun c -> byte d (Char.code c)) s
+  let h = fold_int64 (get d) (Int64.of_int (String.length s)) in
+  set d (fold_sub h s 0 (String.length s))
 
-let to_hex d = Printf.sprintf "%016Lx" d.h
+let to_hex d = Printf.sprintf "%016Lx" (get d)
 
-let of_string s =
-  let d = create () in
-  String.iter (fun c -> byte d (Char.code c)) s;
-  to_hex d
+let sum64 s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Digest.sum64: range outside the string";
+  fold_sub fnv_offset s pos len
+
+let of_string s = Printf.sprintf "%016Lx" (sum64 s ~pos:0 ~len:(String.length s))
 
 let app d (a : Model.App.t) =
   string d a.name;

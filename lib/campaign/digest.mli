@@ -8,7 +8,7 @@
     past run. *)
 
 type t
-(** Mutable accumulator. *)
+(** Mutable accumulator.  Hashing allocates nothing per byte. *)
 
 val create : unit -> t
 (** A fresh accumulator at the FNV-1a offset basis. *)
@@ -41,6 +41,13 @@ val of_string : string -> string
 (** One-shot digest of a raw byte string (no length prefix) — the
     per-line checksum used by {!Journal} to detect torn or corrupted
     entries. *)
+
+val sum64 : string -> pos:int -> len:int -> int64
+(** The raw 64-bit digest of the [len] bytes of a string from [pos] (no
+    length prefix): [of_string s] is the hex of
+    [sum64 s ~pos:0 ~len:(String.length s)].  The checksum of a
+    [Serve.Snapshot] file.
+    @raise Invalid_argument if the range is not inside the string. *)
 
 val instance : platform:Model.Platform.t -> apps:Model.App.t array -> string
 (** One-shot digest of a problem instance. *)

@@ -193,12 +193,20 @@ let append t e =
   Fault.store_point ~site:`Journal ~key:e.key;
   with_lock t (fun () ->
       if not (Hashtbl.mem t.by_key e.key) then begin
+        (* The entry is recorded only once its line is flushed, so a
+           write that raises leaves no entry in memory that the file
+           lacks.  A channel whose write raised is closed, and the next
+           append reopens [path]. *)
+        let oc = out_channel_locked t in
+        (try
+           output_string oc (Fault.mangle ~site:`Journal ~key:e.key (entry_to_line e));
+           output_char oc '\n';
+           flush oc
+         with Sys_error _ as exn ->
+           close_out_locked t;
+           raise exn);
         t.current <- e :: t.current;
         Hashtbl.replace t.by_key e.key e.values;
-        let oc = out_channel_locked t in
-        output_string oc (Fault.mangle ~site:`Journal ~key:e.key (entry_to_line e));
-        output_char oc '\n';
-        flush oc;
         if Obs.Probe.on () then Obs.Metrics.incr m_appends
       end)
 

@@ -70,8 +70,12 @@ val quarantined : t -> int
 val append : t -> entry -> unit
 (** Records an entry by appending one flushed line — O(1) in the
     journal's length.  Entries whose key is already journalled are
-    ignored (the first result wins).
-    @raise Fault.Injected when an armed harness injects a store fault. *)
+    ignored (the first result wins).  The entry enters {!entries} and
+    {!lookup} only after its line is flushed.
+    @raise Fault.Injected when an armed harness injects a store fault.
+    @raise Sys_error when [path] cannot be reopened (after a failed
+    {!rotate}) or the line cannot be written; the entry is then not
+    recorded. *)
 
 val rotate : t -> keep:int -> unit
 (** Starts a new segment: unlinks the segments at index [>= keep - 1],

@@ -150,7 +150,7 @@ val live_report : live -> report
     and re-solver counters, and the retired-job sufficient statistics.
     {!live_restore} rebuilds a live instance from it that evolves {e bit-
     identically} to the original under any subsequent event sequence:
-    floats round-trip through 17-significant-digit text, the completion
+    the snapshot file stores every float's IEEE-754 bits, the completion
     prediction is re-armed at its exact recorded absolute time (not
     recomputed, which could drift by ulps), and allocations are
     reinstalled verbatim without re-solving.  The warm {e seed} (the

@@ -36,6 +36,11 @@ let m_snapshot_failures =
     ~help:"checkpoints that failed validation or raised an I/O error"
     "serve.snapshot_failures"
 
+let m_journal_failures =
+  Obs.Metrics.counter
+    ~help:"requests refused because their journal entry could not be written"
+    "serve.journal_failures"
+
 let m_dedup_hits =
   Obs.Metrics.counter ~help:"retried requests answered from the dedup cache"
     "serve.dedup_hits"
@@ -458,7 +463,7 @@ let handle t ~clients (req : request) =
     in
     update_shed t;
     let cacheable = ref false in
-    let reply =
+    let dispatch () =
       match req.verb with
       | Submit spec ->
         if t.draining then
@@ -578,6 +583,24 @@ let handle t ~clients (req : request) =
       | Ping ->
         advance_to_eff ();
         R_pong
+    in
+    let reply =
+      match dispatch () with
+      | reply -> reply
+      | exception Sys_error m ->
+        (* Every mutation is journalled before it is applied, so a
+           journal write that raises (the journal's directory removed,
+           the disk full) leaves the core untouched: refuse the request
+           rather than let the error end the daemon.  A drain is the
+           exception: its entry follows the drain, which has run. *)
+        cacheable := false;
+        if Obs.Probe.on () then Obs.Metrics.incr m_journal_failures;
+        R_error
+          {
+            code = Internal;
+            message = "journal write failed: " ^ m;
+            retry_after = None;
+          }
     in
     update_shed t;
     let resp = { rid = req.rid; epoch = epoch t; reply } in

@@ -172,7 +172,11 @@ val shutdown_drain : t -> bool
 
 val handle : t -> clients:int -> Protocol.request -> Protocol.response
 (** Process one request and produce its response (never raises: all
-    failures become [R_error]).  [clients] is the daemon's current
+    failures become [R_error]).  A mutation whose journal entry cannot
+    be written (a [Sys_error] from the journal) is answered [Internal]
+    and counted in [serve.journal_failures]; since the entry is written
+    before the mutation is applied, the core is left unchanged.  The
+    exception is a drain, whose entry is written after it ran.  [clients] is the daemon's current
     connection count, echoed in stats/status replies.  Requests with an
     [at] in the past are clamped to the current model time; [at] on a
     drain is ignored.  A request whose [(sid, rid)] matches a cached

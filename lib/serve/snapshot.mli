@@ -1,22 +1,34 @@
 (** Checkpoint files for the daemon backend: the full live-core state
     ({!Online.Service.persist}), the journal sequence watermark, and the
-    (session, request-id) dedup cache, rendered as one JSON payload line
-    followed by one FNV-1a checksum line.
+    (session, request-id) dedup cache.
+
+    A file is binary: {!magic}, the format version and the payload
+    length, then the payload, then a 64-bit FNV-1a checksum of the
+    payload ({!Campaign.Digest.sum64}).  The payload holds the watermark
+    and the live core's scalars, then one column per job field (ids,
+    length-prefixed names, the IEEE-754 bits of the ten float fields,
+    the allocated flags, epochs and migrations), then the
+    length-prefixed dedup entries.  Floats are stored as their bits, so
+    a restore is bit-identical ({!Online.Service.live_restore}),
+    [infinity] and [-0.] included.
 
     The write path is crash-safe in layers: the file is assembled in
-    [path ^ ".tmp"], {e re-read and validated} before being published by
-    an atomic rename, and only a published (hence proven) snapshot ever
-    triggers journal compaction in {!Backend}.  A crash — or an armed
-    {!Campaign.Fault} harness tearing the payload at the [`Snapshot]
-    store site — therefore leaves either the previous snapshot or a tmp
-    file nobody reads, never a corrupt published checkpoint backed by a
-    compacted journal.
+    [path ^ ".tmp"], {e re-read and validated} (length, checksum, and a
+    full decode with [Model.App.make] validation, as a restore would)
+    before being published by an atomic rename, and only a published
+    (hence proven) snapshot ever triggers journal compaction in
+    {!Backend}.  A crash — or an armed {!Campaign.Fault} harness tearing
+    the payload at the [`Snapshot] store site — therefore leaves either
+    the previous snapshot or a tmp file nobody reads, never a corrupt
+    published checkpoint backed by a compacted journal.
 
     Recovery ({!load}) quarantines an invalid snapshot to
     [path ^ ".quarantine"] and returns [None], at which point the backend
-    falls back to full journal replay.  Floats round-trip through
-    17-significant-digit text, so a restore is bit-identical
-    (see {!Online.Service.live_restore}).
+    falls back to full journal replay.  Format 1, the JSON layout
+    (one payload line and one checksum line) that earlier releases
+    wrote, is still read but never written: the journal prefix such a
+    snapshot covers was compacted away, so it cannot be rebuilt by
+    replay.
 
     Snapshots are kept in {e generations}: on publish with [keep = N],
     the previous checkpoint is rotated to [path.1], that one to [path.2]
@@ -46,7 +58,19 @@ type t = {
 }
 
 val format_version : int
-(** Version stamped into (and required of) every snapshot file. *)
+(** Version stamped into every snapshot file {!write} produces (2).
+    {!validate} also reads format 1, the JSON layout earlier releases
+    wrote, so that a directory they left still restores. *)
+
+val magic : string
+(** The 8-byte tag a binary snapshot file starts with. *)
+
+val file_format : path:string -> int option
+(** The format version the file at [path] declares in its first bytes:
+    the version field after {!magic}, or the number after the format-1
+    prefix [{"snapshot":].  [None] when the file does not start like a
+    snapshot (or cannot be read).  Only the header is read: a declared
+    version says nothing about the rest of the file. *)
 
 val quarantine_path : string -> string
 (** Where {!load} preserves an invalid snapshot: [path ^ ".quarantine"]. *)
@@ -87,5 +111,7 @@ val load_generations : path:string -> keep:int -> (t * int) option
     @raise Invalid_argument if [keep < 1]. *)
 
 val validate : path:string -> (t, string) result
-(** Non-destructive check used by [cosched journal]: parse and verify
-    the file, reporting what is wrong instead of quarantining. *)
+(** Non-destructive check used by [cosched journal] and by {!write}:
+    read and verify the file (either format), reporting what is wrong
+    instead of quarantining.  Never raises: a truncated, corrupt or
+    unreadable file is an [Error]. *)

@@ -135,6 +135,50 @@ let digest_sensitive () =
     (Campaign.Digest.tagged ~tag:"ab" ~state:1L
     <> Campaign.Digest.tagged ~tag:"a" ~state:1L)
 
+(* Published FNV-1a-64 test vectors: journals on disk keep verifying
+   only while [of_string] stays bit-identical to the reference. *)
+let digest_fnv1a_vectors () =
+  List.iter
+    (fun (input, hex) ->
+      Alcotest.(check string) (Printf.sprintf "%S" input) hex
+        (Campaign.Digest.of_string input);
+      Alcotest.(check int64) (Printf.sprintf "sum64 %S" input)
+        (Int64.of_string ("0x" ^ hex))
+        (Campaign.Digest.sum64 input ~pos:0 ~len:(String.length input)))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ];
+  Alcotest.(check int64) "sum64 of a substring" 0x85944171f73967e8L
+    (Campaign.Digest.sum64 "[foobar]" ~pos:1 ~len:6)
+
+let words_of f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* Hashing allocates nothing per byte: a 1 KB and a 64 KB input cost the
+   same minor words (the result string and the call's constant
+   overhead), for the one-shot checksum and the accumulator alike. *)
+let digest_allocation_free () =
+  let small = String.make 1024 'x' and large = String.make 65536 'y' in
+  let d = Campaign.Digest.create () in
+  let same name f =
+    ignore (f small);
+    Alcotest.(check (float 0.)) name (words_of (fun () -> f small))
+      (words_of (fun () -> f large))
+  in
+  same "of_string" Campaign.Digest.of_string;
+  same "sum64" (fun s -> Campaign.Digest.sum64 s ~pos:0 ~len:(String.length s));
+  same "string" (Campaign.Digest.string d);
+  same "scalars" (fun s ->
+      for i = 1 to String.length s / 64 do
+        Campaign.Digest.int d i;
+        Campaign.Digest.float d 0.5;
+        Campaign.Digest.bool d true
+      done)
+
 (* --- Journal -------------------------------------------------------------- *)
 
 let journal_roundtrip () =
@@ -168,6 +212,27 @@ let journal_roundtrip () =
   in
   Alcotest.(check (list int)) "entries in append order" [ 0; 1; 2 ] trials;
   Sys.remove path
+
+(* An append that cannot write its line (here the file cannot be
+   reopened after a rotation failed) raises, and the journal's memory
+   does not record the entry: it still holds what the file holds. *)
+let journal_failed_append_records_nothing () =
+  let dir = Filename.temp_dir "cosched-journal-gone" "" in
+  let path = Filename.concat dir "j.jsonl" in
+  let j = Campaign.Journal.create ~path in
+  Campaign.Journal.append j
+    { Campaign.Journal.trial = 0; key = "aa"; values = [| 1. |] };
+  Sys.remove path;
+  Sys.rmdir dir;
+  (match Campaign.Journal.rotate j ~keep:1 with
+  | exception Sys_error _ -> ()
+  | () -> Alcotest.fail "rotate created a segment in a removed directory");
+  let entry = { Campaign.Journal.trial = 1; key = "bb"; values = [| 2. |] } in
+  (match Campaign.Journal.append j entry with
+  | exception Sys_error _ -> ()
+  | () -> Alcotest.fail "append wrote into a removed directory");
+  Alcotest.(check (option (array (float 0.)))) "no phantom entry" None
+    (Campaign.Journal.lookup j "bb")
 
 (* A line stripped of its checksum is not trusted: it is quarantined
    like any other corrupt line and its trial recomputed. *)
@@ -826,6 +891,8 @@ let () =
         [
           test "keys are stable" digest_stable;
           test "keys are content-sensitive" digest_sensitive;
+          test "FNV-1a-64 reference vectors" digest_fnv1a_vectors;
+          test "hashing allocates nothing per byte" digest_allocation_free;
         ] );
       ( "journal",
         [
@@ -834,6 +901,8 @@ let () =
             journal_crash_resume;
           test "a line without its checksum is quarantined"
             journal_unsummed_line_quarantined;
+          test "a failed append records nothing"
+            journal_failed_append_records_nothing;
           qtest journal_corrupt_byte_prop;
           qtest journal_truncate_prop;
         ] );

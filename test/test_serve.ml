@@ -1088,6 +1088,276 @@ let checkpoint_rotates_by_rename () =
   Alcotest.(check bool) "at most snapshot_keep segments" true
     (List.length (Campaign.Journal.segments ~path:j) <= keep)
 
+(* --- snapshot file format ----------------------------------------------- *)
+
+(* Any bytes at all, with '\n', '\000' and non-UTF-8 sequences drawn
+   on purpose as well as by chance. *)
+let gen_bytes =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, string_size (int_range 0 10) ~gen:char);
+        (1, oneofl [ ""; "\n"; "\000"; "\xc3\x28"; "a\nb\000c\xff\xfe" ]);
+      ])
+
+(* Every special value the bits carry, beside arbitrary doubles. *)
+let gen_any_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float);
+        (1, oneofl [ -0.; 0.; infinity; neg_infinity; nan; Float.min_float; 5e-324 ]);
+      ])
+
+let gen_int = QCheck.Gen.(oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ])
+
+(* Apps pass [Model.App.make] (a snapshot holding another would be
+   refused by its own validation), at its boundaries where it allows. *)
+let gen_valid_app =
+  QCheck.Gen.(
+    let* name = gen_bytes in
+    let* w = oneof [ float_range 1e-300 1e300; return Float.max_float ] in
+    let* s = oneof [ return (-0.); float_range 0. 0.999 ] in
+    let* f = oneof [ return (-0.); float_range 0. 1e6 ] in
+    let* m0 = oneofl [ -0.; 0.5; 1. ] in
+    let* c0 = float_range 1e-3 1e12 in
+    let* footprint = oneof [ return infinity; float_range 1e-3 1e15 ] in
+    return (Model.App.make ~name ~w ~s ~f ~m0 ~c0 ~footprint ()))
+
+let gen_pjob =
+  QCheck.Gen.(
+    let* pj_id = gen_int in
+    let* pj_app = gen_valid_app in
+    let* fl = array_size (return 4) gen_any_float in
+    let* pj_allocated = bool in
+    let* pj_epoch = gen_int in
+    let* pj_migrations = gen_int in
+    return
+      {
+        Online.Service.pj_id;
+        pj_app;
+        pj_arrival = fl.(0);
+        pj_remaining = fl.(1);
+        pj_procs = fl.(2);
+        pj_cache = fl.(3);
+        pj_allocated;
+        pj_epoch;
+        pj_migrations;
+      })
+
+(* The replies the backend caches: successful mutations. *)
+let gen_cached_response =
+  QCheck.Gen.(
+    let* rid = int_bound 1_000_000 in
+    let* epoch = int_bound 1_000_000 in
+    let* reply =
+      oneof
+        [
+          map (fun job -> Protocol.R_submitted { job }) (int_bound 100_000);
+          map2
+            (fun job was_live -> Protocol.R_cancelled { job; was_live })
+            (int_bound 100_000) bool;
+          map2
+            (fun time completed -> Protocol.R_drained { time; completed })
+            (oneof [ return (-0.); float_range 0. 1e12 ])
+            (int_bound 100_000);
+        ]
+    in
+    return { Protocol.rid; epoch; reply })
+
+let gen_snapshot ~max_jobs =
+  QCheck.Gen.(
+    let* seq = gen_int in
+    let* fl = array_size (return 9) gen_any_float in
+    let* ints = array_size (return 13) gen_int in
+    let* p_pending = opt gen_any_float in
+    let* p_last_k = opt gen_any_float in
+    let* p_jobs = list_size (int_range 0 max_jobs) gen_pjob in
+    let* dedup =
+      list_size (int_range 0 3)
+        (triple gen_bytes gen_int gen_cached_response)
+    in
+    return
+      {
+        Snapshot.seq;
+        dedup;
+        persist =
+          {
+            Online.Service.p_time = fl.(0);
+            p_next_id = ints.(0);
+            p_busy = fl.(1);
+            p_pending;
+            p_last_solve = fl.(2);
+            p_last_k;
+            p_prev_d = fl.(3);
+            p_events_handled = ints.(1);
+            p_events_since = ints.(2);
+            p_forced = ints.(3);
+            p_migrations = ints.(4);
+            p_resolves = ints.(5);
+            p_solver_iters = ints.(6);
+            p_partition_ops = ints.(7);
+            p_warm_hits = ints.(8);
+            p_cold_fallbacks = ints.(9);
+            p_completed = ints.(10);
+            p_cancelled = ints.(11);
+            p_resp_sum = fl.(4);
+            p_resp_max = fl.(5);
+            p_str_sum = fl.(6);
+            p_str_max = fl.(7);
+            p_jobs;
+          };
+      })
+
+(* Marshal writes every float as its IEEE-754 bits, so equal images
+   mean equal values bit for bit: -0. differs from 0., NaN equals the
+   same NaN. *)
+let bits_of_value v = Marshal.to_string v [ Marshal.No_sharing ]
+
+let with_snapshot_file name f =
+  with_temp_dir name @@ fun dir -> f (Filename.concat dir "d.snap")
+
+let qcheck_snapshot_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"snapshot write then validate is bit-identical"
+    (QCheck.make (gen_snapshot ~max_jobs:8))
+    (fun t ->
+      with_snapshot_file "snapfmt" @@ fun path ->
+      (match Snapshot.write ~path t with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "write refused its own file: %s" m);
+      if Snapshot.file_format ~path <> Some Snapshot.format_version then
+        QCheck.Test.fail_report "file does not declare the current format";
+      match Snapshot.validate ~path with
+      | Ok t' -> String.equal (bits_of_value t) (bits_of_value t')
+      | Error m -> QCheck.Test.fail_reportf "validate: %s" m)
+
+(* Every proper prefix (a torn write) and every single-byte change of a
+   written file is refused with [Error], never an exception, and [load]
+   quarantines it. *)
+let qcheck_snapshot_damage_detected =
+  QCheck.Test.make ~count:12 ~name:"torn or flipped snapshot files are refused"
+    (QCheck.make QCheck.Gen.(pair (gen_snapshot ~max_jobs:2) (int_range 1 255)))
+    (fun (t, mask) ->
+      with_snapshot_file "snapdmg" @@ fun path ->
+      (match Snapshot.write ~path t with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "write refused its own file: %s" m);
+      let good = In_channel.with_open_bin path In_channel.input_all in
+      let refused what data =
+        Out_channel.with_open_bin path (fun oc -> output_string oc data);
+        (match Snapshot.validate ~path with
+        | Error _ -> ()
+        | Ok _ -> QCheck.Test.fail_reportf "%s accepted" what
+        | exception e ->
+          QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e));
+        (match Snapshot.load ~path with
+        | None -> ()
+        | Some _ -> QCheck.Test.fail_reportf "%s loaded" what);
+        if Sys.file_exists path || not (Sys.file_exists (Snapshot.quarantine_path path))
+        then QCheck.Test.fail_reportf "%s not quarantined" what;
+        Sys.remove (Snapshot.quarantine_path path)
+      in
+      let n = String.length good in
+      for len = 0 to n - 1 do
+        refused (Printf.sprintf "%d-byte prefix" len) (String.sub good 0 len)
+      done;
+      for i = 0 to n - 1 do
+        let b = Bytes.of_string good in
+        Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
+        refused (Printf.sprintf "byte %d xor %d" i mask) (Bytes.to_string b)
+      done;
+      true)
+
+(* The requests behind the format-1 fixture in [fixtures/snapshot-v1]:
+   an earlier release checkpointed after [pre] and journalled [post]. *)
+let migration_requests () =
+  let apps = synth ~seed:41 6 in
+  let submit ?sid ?rid ?at i = req ?sid ?rid ?at (Submit (spec_of_app apps.(i))) in
+  ( [
+      submit ~sid:"m" ~rid:1 0;
+      submit ~sid:"m" ~rid:2 ~at:2. 1;
+      submit ~at:4. 2;
+      req ~sid:"m" ~rid:3 ~at:5. (Cancel 0);
+    ],
+    [ submit ~sid:"m" ~rid:4 ~at:6. 3; submit ~at:8. 4; req ~at:9. (Cancel 2) ] )
+
+let snapshot_format1_restores () =
+  with_temp_dir "migrate" @@ fun dir ->
+  List.iter
+    (fun f ->
+      let data =
+        In_channel.with_open_bin (Filename.concat "fixtures/snapshot-v1" f)
+          In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          output_string oc data))
+    [ "d.snap"; "d.jsonl" ];
+  let j = Filename.concat dir "d.jsonl" and s = Filename.concat dir "d.snap" in
+  Alcotest.(check (option int)) "fixture is format 1" (Some 1) (Snapshot.file_format ~path:s);
+  let pre, post = migration_requests () in
+  let straight = backend () in
+  List.iter (fun r -> ignore (Backend.handle straight ~clients:1 r)) (pre @ post);
+  let b = sbackend ~journal:j ~snapshot:s () in
+  Alcotest.(check int) "only the journal tail replayed" (List.length post)
+    (Backend.recovered b);
+  Alcotest.(check string) "format-1 snapshot + tail == straight replay"
+    (allocs_payload straight) (allocs_payload b);
+  (* The snapshot's dedup entries came back too: a retry of the first
+     submit is answered from the cache, with no new job. *)
+  (match reply_of (Backend.handle b ~clients:1 (List.hd pre)) with
+  | R_submitted { job } -> Alcotest.(check int) "cached reply" 0 job
+  | _ -> Alcotest.fail "retry of a checkpointed submit not deduplicated");
+  (* The next checkpoint writes the current format, which restores to
+     the same state. *)
+  checkpoint b;
+  Alcotest.(check (option int))
+    "rewritten in the current format" (Some Snapshot.format_version)
+    (Snapshot.file_format ~path:s);
+  Alcotest.(check string) "format-2 restore == straight replay"
+    (allocs_payload straight)
+    (allocs_payload (sbackend ~journal:j ~snapshot:s ()))
+
+(* The journal's directory vanishes under a running backend whose
+   snapshot directory survives: the first checkpoint publishes but
+   cannot start a fresh journal segment.  Every later mutation is then
+   refused [Internal], none raises, and none changes the live core. *)
+let backend_journal_dir_removed_refuses_mutations () =
+  with_temp_dir "snapkept" @@ fun sdir ->
+  let jdir = Filename.temp_dir "cosched-journalgone" "" in
+  let j = Filename.concat jdir "d.jsonl" in
+  let b = sbackend ~snapshot_every:1 ~journal:j ~snapshot:(Filename.concat sdir "d.snap") () in
+  Sys.remove j;
+  Sys.rmdir jdir;
+  let apps = synth ~seed:24 4 in
+  (match reply_of (Backend.handle b ~clients:1 (req (Submit (spec_of_app apps.(0))))) with
+  | R_submitted _ -> ()
+  | _ -> Alcotest.fail "first submit refused");
+  let live = Backend.live_jobs b in
+  let failures = Obs.Metrics.counter "serve.journal_failures" in
+  let failed_before = Obs.Metrics.count failures in
+  Obs.Probe.with_enabled (fun () ->
+      List.iter
+        (fun r ->
+          match reply_of (Backend.handle b ~clients:1 r) with
+          | R_error { code = Internal; _ } -> ()
+          | _ -> Alcotest.fail "mutation accepted without its journal entry")
+        [
+          req ~at:1. (Submit (spec_of_app apps.(1)));
+          req ~sid:"s" ~rid:7 ~at:2. (Submit (spec_of_app apps.(2)));
+          req ~at:3. (Cancel 0);
+          req ~at:4. (Submit (spec_of_app apps.(3)));
+        ]);
+  Alcotest.(check int) "live count unchanged" live (Backend.live_jobs b);
+  Alcotest.(check int) "failures counted" 4 (Obs.Metrics.count failures - failed_before);
+  (* An error reply is never cached: the retry is refused afresh. *)
+  match
+    reply_of
+      (Backend.handle b ~clients:1
+         (req ~sid:"s" ~rid:7 ~at:2. (Submit (spec_of_app apps.(2)))))
+  with
+  | R_error { code = Internal; _ } -> ()
+  | _ -> Alcotest.fail "refused submit answered from the dedup cache"
+
 (* --- session: bounded outbound queue ------------------------------------ *)
 
 let session_pair () =
@@ -1572,6 +1842,12 @@ let () =
             checkpoint_after_a_hole_keeps_a_generation;
           test "checkpoints rotate generations and segments by rename"
             checkpoint_rotates_by_rename;
+          test "a format-1 snapshot directory restores"
+            snapshot_format1_restores;
+          test "a removed journal directory refuses mutations, never raises"
+            backend_journal_dir_removed_refuses_mutations;
+          qtest qcheck_snapshot_roundtrip;
+          qtest qcheck_snapshot_damage_detected;
         ] );
       ( "session",
         [
