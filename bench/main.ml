@@ -2,7 +2,8 @@
 
      solver    hot-path kernels and the paper's heuristics, ns/op and
                exact minor-heap words/op          -> BENCH_solver.json
-     online    warm vs cold re-solves per policy  -> BENCH_online.json
+     online    warm re-solves vs the cold baseline,
+               per policy                         -> BENCH_online.json
      stats     heavy-tailed samplers and a flash crowd (the "stats"
                record of BENCH_online.json, written with `online`;
                `online` alone keeps the committed record)
@@ -14,8 +15,9 @@
 
    No SECTION runs all five.  Every document is parsed back with
    Obs.Trace_json before it is written; --smoke shrinks repetitions and
-   only validates, writing no file.  The solver section's allocation and
-   bit-identity gates always hold; the timing gates fail the run only
+   only validates, writing no file.  The counted gates (the solver
+   section's allocation and bit-identity gates, the online section's
+   iteration speedup) always hold; the timing gates fail the run only
    under --guard (otherwise they print a warning).
 
    End-to-end timings of the figure campaigns, the forked daemon and the
@@ -524,12 +526,16 @@ let stats cfg =
       ("flash_mean_stretch", num m.Online.Metrics.mean_stretch);
     ]
 
-(* --- online: warm vs cold re-solves ------------------------------------- *)
+(* --- online: warm re-solves against the cold baseline -------------------- *)
 
 (* Serve one 100-application Poisson stream under every built-in re-solve
-   policy, warm and cold: events/sec, warm-vs-cold solver-iteration
-   speedup, migration counts.  [stats_json] is the stats section's
-   record when it ran too, else the committed one. *)
+   policy.  The warm run is timed alone for events/sec; a second,
+   identical run hands the residual instance of each of its re-solves to
+   [Online.Incremental.solve], the cold baseline, timing and counting
+   only those solves.  The warm-vs-cold solver-iteration speedup is a
+   count, so its >= 1.5 gate always holds; the wall-clock gate (warm
+   events/sec >= 0.9x cold) holds under --guard.  [stats_json] is the
+   stats section's record when it ran too, else the committed one. *)
 let online cfg stats_json =
   let napps = 100 and load = 8. in
   let rng = Util.Rng.create cfg.seed in
@@ -537,29 +543,51 @@ let online cfg stats_json =
     Online.Workload_stream.poisson_load ~rng ~platform ~load
       ~dataset:Model.Workload.NpbSynth napps
   in
-  let run policy mode =
-    let config = { Online.Service.default_config with policy; mode } in
-    let report, dt = timed (fun () -> Online.Service.run ~config ~platform stream) in
-    let m = report.Online.Service.metrics in
-    (m, float_of_int m.Online.Metrics.events /. Float.max dt 1e-9)
+  (* The cold baseline on every re-solve of a warm replay, through the
+     service's listener: returns its counters and total solve time. *)
+  let cold_baseline config =
+    let inc = Online.Incremental.create () and dt = ref 0. and lv = ref None in
+    let listener = function
+      | Online.Service.Completed _ -> ()
+      | Resolved _ ->
+        let jobs = Online.State.live (Online.Service.live_state (Option.get !lv)) in
+        let apps = Array.map Online.State.remaining_app jobs in
+        dt := !dt +. snd (timed (fun () -> Online.Incremental.solve inc ~platform ~apps))
+    in
+    let live = Online.Service.live_create ~config ~listener ~platform () in
+    lv := Some live;
+    List.iter
+      (fun { Online.Workload_stream.time; kind } ->
+        match kind with
+        | Online.Workload_stream.Arrival app ->
+          ignore (Online.Service.submit live ~at:time app : Online.State.job)
+        | Departure id -> ignore (Online.Service.cancel live ~at:time ~id : bool))
+      (Online.Workload_stream.events stream);
+    Online.Service.drain live;
+    (Online.Incremental.counters inc, !dt)
   in
   let results =
     List.map
       (fun policy ->
-        let warm, eps_warm = run policy Online.Incremental.Warm in
-        let cold, eps_cold = run policy Online.Incremental.Cold in
+        let config = { Online.Service.default_config with policy } in
+        let report, dt = timed (fun () -> Online.Service.run ~config ~platform stream) in
+        let warm = report.Online.Service.metrics in
+        let events = float_of_int warm.Online.Metrics.events in
+        let eps_warm = events /. Float.max dt 1e-9 in
+        let cold, dt_cold = cold_baseline config in
+        let eps_cold = events /. Float.max dt_cold 1e-9 in
         let speedup =
-          float_of_int cold.Online.Metrics.solver_iters
+          float_of_int cold.Online.Incremental.solver_iters
           /. float_of_int (max 1 warm.Online.Metrics.solver_iters)
         in
         let name = Online.Policy.name policy in
-        (* The warm path may never lose to cold on wall-clock (the PR-9
-           inversion), and the predicted-seed speedup must hold >= 1.5x.
-           Wall-clock is noisy, so warm gets a 10% measurement allowance. *)
+        (* The warm service may never lose to the cold solves alone on
+           wall-clock; wall-clock is noisy, so warm gets a 10%
+           measurement allowance. *)
         gate ~enforced:cfg.guard (eps_warm >= 0.9 *. eps_cold)
           (Printf.sprintf "%s: warm %.0f ev/s < cold %.0f ev/s" name eps_warm
              eps_cold);
-        gate ~enforced:cfg.guard (speedup >= 1.5)
+        gate ~enforced:true (speedup >= 1.5)
           (Printf.sprintf "%s: warm_vs_cold_iter_speedup %.2f < 1.5" name speedup);
         (name, warm, cold, eps_warm, eps_cold, speedup))
       Online.Policy.defaults
@@ -573,7 +601,7 @@ let online cfg stats_json =
            name;
            Printf.sprintf "%.0f" eps_warm;
            string_of_int warm.Online.Metrics.solver_iters;
-           string_of_int cold.Online.Metrics.solver_iters;
+           string_of_int cold.Online.Incremental.solver_iters;
            Printf.sprintf "%.3f" speedup;
            string_of_int warm.Online.Metrics.migrations;
          ])
@@ -587,7 +615,13 @@ let online cfg stats_json =
         ("warm_vs_cold_iter_speedup", num speedup);
         ("migrations", string_of_int warm.Online.Metrics.migrations);
         ("warm", Online.Metrics.to_json warm);
-        ("cold", Online.Metrics.to_json cold);
+        ( "cold",
+          obj
+            [
+              ("resolves", string_of_int cold.Online.Incremental.resolves);
+              ("solver_iters", string_of_int cold.Online.Incremental.solver_iters);
+              ("partition_ops", string_of_int cold.Online.Incremental.partition_ops);
+            ] );
       ]
   in
   emit cfg "BENCH_online.json"

@@ -556,8 +556,9 @@ let validate_cmd =
 
 (* --- online ------------------------------------------------------------ *)
 
-(* Named-spec converters for the heavy-tailed workload flags, shared by
-   `online` (stream generation) and `client storm` (wire submission). *)
+(* Named-spec converters: the heavy-tailed workload flags, shared by
+   `online` (stream generation) and `client storm` (wire submission), and
+   the re-solve policy of `online` and `serve`. *)
 let scenario_conv =
   let parse s =
     try Ok (Stats.Scenario.of_string s) with Invalid_argument m -> Error (`Msg m)
@@ -572,15 +573,24 @@ let dist_conv =
   let print ppf d = Format.pp_print_string ppf (Stats.Dist.to_string d) in
   Arg.conv (parse, print)
 
+let policy_conv =
+  let parse s =
+    try Ok (Online.Policy.of_string s) with Invalid_argument m -> Error (`Msg m)
+  in
+  let print ppf p = Format.pp_print_string ppf (Online.Policy.name p) in
+  Arg.conv (parse, print)
+
+let check_arg =
+  Arg.(
+    value & flag
+    & info [ "check" ]
+        ~doc:"Assert processor and cache conservation after every event.")
+
 let online_cmd =
   let online_policy_arg =
-    let parse s =
-      try Ok (Online.Policy.of_string s) with Invalid_argument m -> Error (`Msg m)
-    in
-    let print ppf p = Format.pp_print_string ppf (Online.Policy.name p) in
     Arg.(
       value
-      & opt (some (conv (parse, print))) None
+      & opt (some policy_conv) None
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
             "Re-solve policy: $(b,every-event), $(b,batched:K) or \
@@ -594,20 +604,6 @@ let online_cmd =
           ~doc:
             "Target offered load: the arrival rate keeps about L jobs in \
              flight if each ran alone on the full platform.")
-  in
-  let cold_arg =
-    Arg.(
-      value & flag
-      & info [ "cold" ]
-          ~doc:
-            "Re-solve from scratch at every decision (the baseline the \
-             warm-started incremental solver is measured against).")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Assert processor and cache conservation after every event.")
   in
   let json_arg =
     Arg.(
@@ -649,8 +645,8 @@ let online_cmd =
              work with a draw from SPEC, in operations (the NPB-SYNTH range \
              is 1e8..1e12, so e.g. $(b,pareto:a=1.1,xm=1e9)).")
   in
-  let run seed dataset napps procs cs load arrivals sizes policy cold check
-      json jobs trace metrics =
+  let run seed dataset napps procs cs load arrivals sizes policy check json
+      jobs trace metrics =
     with_obs trace metrics @@ fun () ->
     let rng = Util.Rng.create seed in
     let platform = platform_of ~procs ~cs in
@@ -673,20 +669,18 @@ let online_cmd =
     let policies =
       match policy with Some p -> [ p ] | None -> Online.Policy.defaults
     in
-    let mode = if cold then Online.Incremental.Cold else Online.Incremental.Warm in
     Exec.Pool.with_pool ~jobs @@ fun pool ->
     let pool = if Exec.Pool.size pool = 0 then None else Some pool in
     List.iter
       (fun policy ->
         let config =
-          { Online.Service.default_config with policy; mode; validate = check }
+          { Online.Service.default_config with policy; validate = check }
         in
         let report = Online.Service.run ~config ?pool ~platform stream in
         let metrics = report.Online.Service.metrics in
         if json then
-          Printf.printf "{\"policy\":\"%s\",\"mode\":\"%s\",\"metrics\":%s}\n"
+          Printf.printf "{\"policy\":\"%s\",\"metrics\":%s}\n"
             (Online.Policy.name policy)
-            (if cold then "cold" else "warm")
             (Online.Metrics.to_json metrics)
         else
           print_string
@@ -697,8 +691,8 @@ let online_cmd =
   let term =
     Term.(
       const run $ seed_arg $ dataset_arg $ napps_arg $ procs_arg $ cs_arg
-      $ load_arg $ arrivals_arg $ sizes_arg $ online_policy_arg $ cold_arg
-      $ check_arg $ json_arg $ online_jobs_arg $ trace_arg $ metrics_arg)
+      $ load_arg $ arrivals_arg $ sizes_arg $ online_policy_arg $ check_arg
+      $ json_arg $ online_jobs_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "online"
@@ -858,28 +852,13 @@ let serve_cmd =
              (a slow subscriber must not stall the scheduler).")
   in
   let serve_policy_arg =
-    let parse s =
-      try Ok (Online.Policy.of_string s) with Invalid_argument m -> Error (`Msg m)
-    in
-    let print ppf p = Format.pp_print_string ppf (Online.Policy.name p) in
     Arg.(
       value
-      & opt (conv (parse, print)) Online.Policy.Every_event
+      & opt policy_conv Online.Policy.Every_event
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
             "Re-solve policy: $(b,every-event), $(b,batched:K) or \
              $(b,threshold:EPS).")
-  in
-  let cold_arg =
-    Arg.(
-      value & flag
-      & info [ "cold" ] ~doc:"Re-solve from scratch at every decision.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Assert processor and cache conservation after every event.")
   in
   let snapshot_arg =
     Arg.(
@@ -963,14 +942,11 @@ let serve_cmd =
   in
   let run socket port max_clients queue_depth drain_timeout client_timeout
       journal snapshot snapshot_every snapshot_keep deadline_ms idle_timeout
-      max_buffer shed_highwater shed_lowwater policy cold check procs cs trace
+      max_buffer shed_highwater shed_lowwater policy check procs cs trace
       metrics =
     let ready = ref false in
     or_exit ~ready "serve" @@ fun () ->
     with_obs trace metrics @@ fun () ->
-    let mode =
-      if cold then Online.Incremental.Cold else Online.Incremental.Warm
-    in
     if snapshot <> None && journal = None then begin
       prerr_endline "cosched serve: --snapshot requires --journal";
       exit 2
@@ -988,7 +964,7 @@ let serve_cmd =
         Serve.Daemon.backend =
           {
             Serve.Backend.service =
-              { Online.Service.default_config with policy; mode; validate = check };
+              { Online.Service.default_config with policy; validate = check };
             platform = platform_of ~procs ~cs;
             queue_depth;
             journal;
@@ -1025,7 +1001,7 @@ let serve_cmd =
       $ drain_timeout_arg $ client_timeout_arg $ journal_arg $ snapshot_arg
       $ snapshot_every_arg $ snapshot_keep_arg $ deadline_ms_arg $ idle_timeout_arg
       $ max_buffer_arg $ shed_highwater_arg $ shed_lowwater_arg
-      $ serve_policy_arg $ cold_arg $ check_arg $ procs_arg $ cs_arg
+      $ serve_policy_arg $ check_arg $ procs_arg $ cs_arg
       $ trace_arg $ metrics_arg)
   in
   Cmd.v

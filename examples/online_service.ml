@@ -18,9 +18,9 @@ let () =
     (Online.Workload_stream.arrivals stream)
     (Online.Workload_stream.horizon stream);
 
-  (* Serve the same stream under each built-in re-solve policy.  The
-     warm-started incremental solver is the default; Every_event re-solves
-     at every arrival/completion, Batched and Threshold defer. *)
+  (* Serve the same stream under each built-in re-solve policy, every
+     re-solve warm-started: Every_event re-solves at every
+     arrival/completion, Batched and Threshold defer. *)
   List.iter
     (fun policy ->
       let config = { Online.Service.default_config with policy } in
@@ -29,19 +29,4 @@ let () =
         (Online.Metrics.render ~label:(Online.Policy.name policy)
            report.Online.Service.metrics);
       print_newline ())
-    Online.Policy.defaults;
-
-  (* Warm vs cold on the same stream and policy: identical schedules,
-     fewer solver iterations. *)
-  let run mode =
-    let config = { Online.Service.default_config with mode } in
-    (Online.Service.run ~config ~platform stream).Online.Service.metrics
-  in
-  let warm = run Online.Incremental.Warm in
-  let cold = run Online.Incremental.Cold in
-  Printf.printf "solver iterations: warm %d vs cold %d (%.1f%% saved)\n"
-    warm.Online.Metrics.solver_iters cold.Online.Metrics.solver_iters
-    (100.
-    *. (1.
-       -. float_of_int warm.Online.Metrics.solver_iters
-          /. float_of_int cold.Online.Metrics.solver_iters))
+    Online.Policy.defaults

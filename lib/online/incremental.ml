@@ -71,12 +71,6 @@ let reseed t ~prev_k ~prev_d =
   t.prev_k <- prev_k;
   t.prev_d <- prev_d
 
-let invalidate t =
-  t.prev_k <- None;
-  t.prev_d <- 0.;
-  t.prev_boundary <- 0;
-  t.pn <- 0
-
 (* --- cold baseline: Algorithm 1 / MinRatio, with counted work ---------- *)
 
 (* MinRatio consumes no randomness; the builder's [rng] parameter is
@@ -155,7 +149,7 @@ let warm_boundary t ~n =
      so the carried permutation is nearly sorted and this pass is O(n +
      inversions), versus the full sort-from-scratch (with boxed tuple
      entries) the previous implementation paid per event.  A disordered
-     permutation — the first solve ever, or right after [invalidate] —
+     permutation — the first solve of a fresh or restored instance —
      would make insertion quadratic (minutes at n = 1e5), so when the
      total shift distance blows past a linear budget the pass bails to
      [Array.sort] with the same comparator: the order is total, so the
@@ -245,32 +239,18 @@ let m_solver_iters =
   Obs.Metrics.counter ~help:"root-finder evaluations spent in re-solves"
     "incremental.solver_iters"
 
-type mode = Warm | Cold
+type mode = Warm
 
 let solve t ~platform ~apps =
   if Array.length apps = 0 then invalid_arg "Incremental.solve: empty instance";
-  (* Probes off: [sp] is the null handle, [ops0] is an int read — the
-     event loop allocates exactly what it did uninstrumented
-     (test/test_obs.ml holds this path to zero extra minor words). *)
-  let sp = Obs.Span.start "online.resolve" in
-  let ops0 = t.counters.partition_ops in
   t.counters.resolves <- t.counters.resolves + 1;
   let subset = cold_partition ~counters:t.counters ~platform apps in
   let x = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
-  if Obs.Probe.on () then Obs.Metrics.incr m_resolves;
   let iters = ref 0 in
   let schedule, k =
     Sched.Equalize.schedule_k ~iters ~ws:t.ws ~platform ~apps x
   in
   t.counters.solver_iters <- t.counters.solver_iters + !iters;
-  if Obs.Probe.on () then begin
-    Obs.Metrics.add m_partition_ops (t.counters.partition_ops - ops0);
-    Obs.Metrics.add m_solver_iters !iters;
-    Obs.Span.add_attr sp "mode" "cold";
-    Obs.Span.add_attr sp "n" (string_of_int (Array.length apps));
-    Obs.Span.add_attr sp "k" (Printf.sprintf "%.6g" k);
-    Obs.Span.stop sp
-  end;
   (schedule, k)
 
 (* --- columnar re-solve (the online hot path) --------------------------- *)
@@ -289,6 +269,9 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   let v = State.view state in
   let n = v.State.v_n in
   if n = 0 then invalid_arg "Incremental.solve_state: empty instance";
+  (* Probes off: [sp] is the null handle, [ops0] is an int read — the
+     event loop allocates exactly what it did uninstrumented
+     (test/test_obs.ml holds this path to zero extra minor words). *)
   let sp = Obs.Span.start "online.resolve" in
   let ops0 = t.counters.partition_ops in
   t.counters.resolves <- t.counters.resolves + 1;

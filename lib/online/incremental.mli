@@ -31,12 +31,17 @@
       {!Sched.Equalize.solve_cols} refines by Illinois false position, in
       place of the cold bracket spanning the whole feasible range.
 
+    {!solve_state} is the service's one re-solve path; {!solve} keeps
+    the paper's cold pipeline only as the reference it is tested and
+    measured against.
+
     All work is counted: [partition_ops] increments per weight/ratio/
     dominance evaluation, [solver_iters] per makespan-objective
     evaluation, so warm-vs-cold savings are measured, not asserted.
-    With {!Obs.Probe.on}, every solve also opens an [online.resolve]
-    tracing span and feeds the [incremental.*] metrics (resolves,
-    warm hits vs cold fallbacks, partition ops, solver iterations). *)
+    With {!Obs.Probe.on}, every {!solve_state} also opens an
+    [online.resolve] tracing span and feeds the [incremental.*] metrics
+    (resolves, warm hits vs cold fallbacks, partition ops, solver
+    iterations); the baseline {!solve} only counts. *)
 
 type counters = {
   mutable solver_iters : int;
@@ -68,10 +73,6 @@ val create : unit -> t
 val counters : t -> counters
 (** The live counters (shared, mutated by every solve). *)
 
-val invalidate : t -> unit
-(** Forget the warm state — the next solve runs cold and the carried
-    permutation is rebuilt from identity — keeping counters. *)
-
 val prev_demand : t -> float
 (** The residual parallel demand [sum (1-s_i) c_i] recorded by the last
     {!solve_state} (0 when none ran) — checkpointed alongside the last
@@ -92,14 +93,16 @@ val cold_partition :
     (MinRatio consumes no randomness, so the required rng is a shared
     dummy.) *)
 
-type mode = Warm | Cold
-(** The service's re-solve mode: [Warm] runs {!solve_state}, [Cold] runs
-    {!solve}. *)
+type mode = Warm
+(** The service's re-solve mode: [Warm] ({!solve_state}) is the only
+    one. *)
 
 val solve :
   t -> platform:Model.Platform.t -> apps:Model.App.t array ->
   Model.Schedule.t * float
-(** The counted cold baseline behind the service's [Cold] mode: one full
+(** The counted cold baseline that {!solve_state} is checked and
+    measured against (the per-re-solve test oracle and
+    [bench/main.exe online]; the service never calls it): one full
     re-solve of the residual instance from scratch — {!cold_partition},
     capped water-filling, then the paper's cold bisection — returning
     the schedule and its equalised makespan, as

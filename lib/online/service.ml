@@ -2,25 +2,14 @@ type config = {
   policy : Policy.t;
   mode : Incremental.mode;
   validate : bool;
-  record : bool;
 }
 
 let default_config =
-  { policy = Policy.Every_event; mode = Incremental.Warm; validate = false;
-    record = false }
-
-type snapshot = {
-  time : float;
-  job_ids : int array;
-  procs : float array;
-  cache : float array;
-  k : float;
-}
+  { policy = Policy.Every_event; mode = Incremental.Warm; validate = false }
 
 type report = {
   metrics : Metrics.t;
   jobs : State.job list;
-  snapshots : snapshot list;
 }
 
 type notice =
@@ -83,7 +72,6 @@ type live = {
   mutable last_solve : float;
   mutable forced : int;
   mutable migrations : int;
-  mutable snapshots_rev : snapshot list;
   mutable pred_epoch : int;       (* completion-prediction generation *)
   mutable pred_at : float option; (* absolute completion time of the
                                      current prediction, if scheduled *)
@@ -111,7 +99,6 @@ let live_create ?(config = default_config) ?pool ?(shard_min = default_shard_min
     last_solve = 0.;
     forced = 0;
     migrations = 0;
-    snapshots_rev = [];
     pred_epoch = 0;
     pred_at = None;
     last_k = None;
@@ -134,8 +121,8 @@ let notify lv n = match lv.listener with None -> () | Some f -> f n
    idle platform fraction plus the queued share of live work.  The idle
    fraction is floored at 1e-9 so that the one-ulp residue of the
    post-solve processor rescale reads as exactly zero — the Threshold
-   decision must not depend on bisection noise (it would split warm and
-   cold runs on razor-edge ties). *)
+   decision must not depend on root-finder noise (rounding would decide
+   razor-edge ties). *)
 let degradation lv () =
   let p = lv.platform.Model.Platform.p in
   let used, queued_w, total_w = State.demand_summary lv.state in
@@ -149,38 +136,17 @@ let resolve lv ~is_forced () =
   if State.live_count lv.state > 0 then begin
     let now = Simulator.Engine.now lv.engine in
     let elapsed = now -. lv.last_solve in
+    (* Columnar hot path: no per-job materialization, sharded over the
+       pool when the live set is large enough. *)
     let k, migrations =
-      match lv.config.mode with
-      | Incremental.Warm ->
-        (* Columnar hot path: no per-job materialization, sharded over
-           the pool when the live set is large enough. *)
-        Incremental.solve_state lv.inc ?pool:lv.pool ~shard_min:lv.shard_min
-          ~elapsed ~state:lv.state ()
-      | Incremental.Cold ->
-        let jobs = State.live lv.state in
-        let apps = Array.map State.remaining_app jobs in
-        let schedule, k =
-          Incremental.solve lv.inc ~platform:lv.platform ~apps
-        in
-        (k, State.apply lv.state jobs schedule.Model.Schedule.allocs)
+      Incremental.solve_state lv.inc ?pool:lv.pool ~shard_min:lv.shard_min
+        ~elapsed ~state:lv.state ()
     in
     lv.migrations <- lv.migrations + migrations;
     if is_forced then lv.forced <- lv.forced + 1;
     lv.events_since <- 0;
     lv.last_solve <- now;
     lv.last_k <- Some k;
-    if lv.config.record then begin
-      let jobs = State.live lv.state in
-      lv.snapshots_rev <-
-        {
-          time = now;
-          job_ids = Array.map State.id jobs;
-          procs = Array.map State.procs jobs;
-          cache = Array.map State.cache jobs;
-          k;
-        }
-        :: lv.snapshots_rev
-    end;
     if lv.config.validate then State.assert_conservation lv.state;
     notify lv (Resolved { time = now; epoch = live_epoch lv; k })
   end
@@ -383,7 +349,7 @@ let live_report lv =
          else 0.);
     }
   in
-  { metrics; jobs = finished; snapshots = List.rev lv.snapshots_rev }
+  { metrics; jobs = finished }
 
 (* --- checkpoint / restore ---------------------------------------------- *)
 
@@ -490,7 +456,6 @@ let live_restore ?(config = default_config) ?pool
       last_solve = p.p_last_solve;
       forced = p.p_forced;
       migrations = p.p_migrations;
-      snapshots_rev = [];
       pred_epoch = 0;
       pred_at = None;
       last_k = p.p_last_k;

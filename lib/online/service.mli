@@ -8,9 +8,11 @@
     state integrates progress ({!State.advance}), then the {!Policy}
     decides whether to re-solve.  A re-solve treats the residual work as
     a static instance of the paper's problem and runs the
-    DominantMinRatio pipeline through {!Incremental} — warm-started
-    ([Warm]) or from scratch ([Cold], the baseline the warm counters are
-    measured against).
+    DominantMinRatio pipeline through the warm-started
+    {!Incremental.solve_state}, the service's one re-solve path.  (The
+    online tests check every such re-solve against
+    {!Incremental.solve}, the cold pipeline, on the same residual
+    instance.)
 
     {!run} replays a whole {!Workload_stream} through the same live core
     and the [Serve] daemon feeds it from sockets, so an offline replay
@@ -36,29 +38,18 @@
 type config = {
   policy : Policy.t;
   mode : Incremental.mode;
+      (** Always [Warm], the only mode. *)
   validate : bool;
       (** Check processor/cache conservation after every event and
           re-solve (raises [Failure] on violation). *)
-  record : bool;
-      (** Keep a per-re-solve allocation snapshot (for the warm-vs-cold
-          equivalence property). *)
 }
 
 val default_config : config
-(** [Every_event], [Warm], no validation, no recording. *)
-
-type snapshot = {
-  time : float;
-  job_ids : int array;     (** Live jobs at the re-solve, arrival order. *)
-  procs : float array;
-  cache : float array;
-  k : float;               (** Equalised makespan of the re-solve. *)
-}
+(** [Every_event], [Warm], no validation. *)
 
 type report = {
   metrics : Metrics.t;
   jobs : State.job list;   (** All retired jobs, retirement order. *)
-  snapshots : snapshot list;  (** Oldest first; empty unless [record]. *)
 }
 
 type notice =
@@ -79,7 +70,9 @@ val live_create :
   ?listener:(notice -> unit) -> platform:Model.Platform.t ->
   unit -> live
 (** Fresh instance at model time 0.  The optional [listener] is invoked
-    synchronously on every re-solve and completion.
+    synchronously on every re-solve and completion; on a [Resolved]
+    notice {!live_state} already holds the new allocations (the online
+    tests' per-re-solve cold oracle reads them there).
 
     [pool], when given, shards the per-job passes of every warm re-solve
     across its worker domains once the live set reaches [shard_min]

@@ -2,8 +2,8 @@
    state, warm-started incremental re-solvers, policies and the service
    loop.  The load-bearing properties: the warm partition and the
    warm-seeded makespan root give the same answers as the cold
-   baselines, and a warm service run is event-for-event equivalent to a
-   cold one. *)
+   baselines, and every warm re-solve of a service run commits the
+   allocation the cold pipeline computes for the same residual instance. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let test name f = Alcotest.test_case name `Quick f
@@ -256,12 +256,51 @@ let warm_seed_saves_iterations () =
 
 (* --- Service ------------------------------------------------------------ *)
 
-let run_service ?(mode = Online.Incremental.Warm) ?(record = false) ~policy
-    stream =
-  let config =
-    { Online.Service.policy; mode; validate = true; record }
-  in
+let run_service ~policy stream =
+  let config = { Online.Service.default_config with policy; validate = true } in
   Online.Service.run ~config ~platform stream
+
+(* Replay [stream] through a live instance as {!Online.Service.run} does,
+   calling [on_resolve] with the instance after every re-solve. *)
+let replay ?pool ?shard_min ~policy ~on_resolve stream =
+  let config = { Online.Service.default_config with policy; validate = true } in
+  let lv = ref None in
+  let listener = function
+    | Online.Service.Resolved _ -> on_resolve (Option.get !lv)
+    | Online.Service.Completed _ -> ()
+  in
+  let live =
+    Online.Service.live_create ~config ?pool ?shard_min ~listener ~platform ()
+  in
+  lv := Some live;
+  List.iter
+    (fun { Online.Workload_stream.time; kind } ->
+      match kind with
+      | Online.Workload_stream.Arrival app ->
+        ignore (Online.Service.submit live ~at:time app : Online.State.job)
+      | Departure id -> ignore (Online.Service.cancel live ~at:time ~id : bool))
+    (Online.Workload_stream.events stream);
+  Online.Service.drain live;
+  (Online.Service.live_report live).Online.Service.metrics
+
+(* The cold oracle of one warm re-solve: [Online.Incremental.solve] on the
+   residual instance the service just solved, compared with what the
+   service installed — makespan, every processor share and cache
+   fraction to 1e-9 relative, and the cached set exactly. *)
+let matches_cold_oracle inc lv =
+  let jobs = Online.State.live (Online.Service.live_state lv) in
+  let apps = Array.map Online.State.remaining_app jobs in
+  let schedule, k = Online.Incremental.solve inc ~platform ~apps in
+  let cold = schedule.Model.Schedule.allocs in
+  (match Online.Service.last_makespan lv with
+  | Some warm_k -> rel_close warm_k k
+  | None -> false)
+  && Array.for_all2
+       (fun j (a : Model.Schedule.alloc) ->
+         rel_close (Online.State.procs j) a.procs
+         && rel_close (Online.State.cache j) a.cache
+         && (Online.State.cache j > 0.) = (a.cache > 0.))
+       jobs cold
 
 let service_completes_all_jobs () =
   let stream = stream_of ~seed:21 ~load:4. 20 in
@@ -308,22 +347,12 @@ let service_deterministic () =
   in
   Alcotest.(check bool) "bit-identical metrics" true (run () = run ())
 
-let snapshots_equivalent a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (s1 : Online.Service.snapshot) (s2 : Online.Service.snapshot) ->
-         s1.job_ids = s2.job_ids
-         && rel_close s1.time s2.time
-         && rel_close s1.k s2.k
-         && Array.for_all2 (fun x y -> rel_close x y) s1.procs s2.procs
-         && Array.for_all2 (fun x y -> rel_close x y) s1.cache s2.cache)
-       a b
-
-let qcheck_warm_equals_cold_service =
+let qcheck_warm_matches_cold_oracle =
   (* The headline property: warm-started re-solves change nothing but the
-     work done — every allocation the service commits is the cold one to
-     within 1e-9 relative, under each re-solve policy. *)
-  QCheck.Test.make ~name:"warm service run == cold service run" ~count:20
+     work done — every allocation the service commits is the cold
+     pipeline's on the same residual instance, under each re-solve
+     policy. *)
+  QCheck.Test.make ~name:"warm re-solves == cold oracle" ~count:20
     QCheck.(
       pair (int_bound 10_000)
         (oneofl
@@ -333,26 +362,26 @@ let qcheck_warm_equals_cold_service =
            ]))
     (fun (seed, policy) ->
       let stream = stream_of ~seed ~load:3. 12 in
-      let warm =
-        run_service ~mode:Online.Incremental.Warm ~record:true ~policy stream
+      let inc = Online.Incremental.create () in
+      let ok = ref true in
+      let m =
+        replay ~policy stream ~on_resolve:(fun lv ->
+            if not (matches_cold_oracle inc lv) then ok := false)
       in
-      let cold =
-        run_service ~mode:Online.Incremental.Cold ~record:true ~policy stream
-      in
-      warm.Online.Service.metrics.Online.Metrics.completed
-      = cold.Online.Service.metrics.Online.Metrics.completed
-      && snapshots_equivalent warm.Online.Service.snapshots
-           cold.Online.Service.snapshots)
+      !ok
+      && m.Online.Metrics.resolves
+         = (Online.Incremental.counters inc).Online.Incremental.resolves
+      && m.Online.Metrics.completed = 12)
 
 let warm_service_saves_solver_work () =
   let stream = stream_of ~seed:25 ~load:6. 60 in
-  let iters mode =
-    (run_service ~mode ~policy:Online.Policy.Every_event stream)
-      .Online.Service.metrics
-      .Online.Metrics.solver_iters
+  let inc = Online.Incremental.create () in
+  let m =
+    replay ~policy:Online.Policy.Every_event stream ~on_resolve:(fun lv ->
+        if not (matches_cold_oracle inc lv) then Alcotest.fail "cold oracle")
   in
-  let warm = iters Online.Incremental.Warm in
-  let cold = iters Online.Incremental.Cold in
+  let warm = m.Online.Metrics.solver_iters in
+  let cold = (Online.Incremental.counters inc).Online.Incremental.solver_iters in
   Alcotest.(check bool)
     (Printf.sprintf "warm %d < cold %d" warm cold)
     true (warm < cold)
@@ -413,27 +442,33 @@ let sharded_solve_state_bit_identical () =
 let qcheck_sharded_equals_sequential_service =
   (* Full service runs under churn: a sharding pool (sizes 1, 2, 8 with
      shard_min 1, so every re-solve shards) commits bit-identical
-     snapshots and metrics to the unsharded run. *)
+     allocations at every re-solve, and metrics, to the unsharded run. *)
   QCheck.Test.make ~name:"sharded service run == sequential (pool 1/2/8)"
     ~count:12
     QCheck.(pair (int_bound 10_000) (oneofl [ 1; 2; 8 ]))
     (fun (seed, jobs) ->
       let stream = stream_of ~seed ~load:3. 12 in
-      let config =
-        {
-          Online.Service.policy = Online.Policy.Every_event;
-          mode = Online.Incremental.Warm;
-          validate = true;
-          record = true;
-        }
+      (* Every re-solve's (ids, procs, cache, k), newest first. *)
+      let run ?pool () =
+        let trace = ref [] in
+        let on_resolve lv =
+          let live = Online.State.live (Online.Service.live_state lv) in
+          trace :=
+            ( Array.map Online.State.id live,
+              Array.map Online.State.procs live,
+              Array.map Online.State.cache live,
+              Online.Service.last_makespan lv )
+            :: !trace
+        in
+        let m =
+          replay ?pool ~shard_min:1 ~policy:Online.Policy.Every_event
+            ~on_resolve stream
+        in
+        (m, !trace)
       in
-      let seq = Online.Service.run ~config ~platform stream in
-      let shd =
-        Exec.Pool.with_pool ~jobs (fun pool ->
-            Online.Service.run ~config ~pool ~shard_min:1 ~platform stream)
-      in
-      seq.Online.Service.metrics = shd.Online.Service.metrics
-      && seq.Online.Service.snapshots = shd.Online.Service.snapshots)
+      let seq = run () in
+      let shd = Exec.Pool.with_pool ~jobs (fun pool -> run ~pool ()) in
+      seq = shd)
 
 (* --- Columnar state: freelist and compaction invariants ----------------- *)
 
@@ -511,7 +546,7 @@ let () =
           test "completes all jobs under every policy" service_completes_all_jobs;
           test "handles departures" service_handles_departures;
           test "deterministic" service_deterministic;
-          qtest qcheck_warm_equals_cold_service;
+          qtest qcheck_warm_matches_cold_oracle;
           test "warm saves solver work" warm_service_saves_solver_work;
         ] );
       ( "sharding",
