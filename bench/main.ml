@@ -529,13 +529,16 @@ let stats cfg =
 (* --- online: warm re-solves against the cold baseline -------------------- *)
 
 (* Serve one 100-application Poisson stream under every built-in re-solve
-   policy.  The warm run is timed alone for events/sec; a second,
-   identical run hands the residual instance of each of its re-solves to
-   [Online.Incremental.solve], the cold baseline, timing and counting
-   only those solves.  The warm-vs-cold solver-iteration speedup is a
-   count, so its >= 1.5 gate always holds; the wall-clock gate (warm
-   events/sec >= 0.9x cold) holds under --guard.  [stats_json] is the
-   stats section's record when it ran too, else the committed one. *)
+   policy.  The warm run is timed alone for events/sec and reports the
+   live-set passes its state made per event ([State.sweeps]: re-solves,
+   completion sweeps and threshold's degradation estimate; plain events
+   walk nothing); a second, identical run hands the residual instance
+   of each of its re-solves to [Online.Incremental.solve], the cold
+   baseline, timing and counting only those solves.  The warm-vs-cold
+   solver-iteration speedup is a count, so its >= 1.5 gate always
+   holds; the wall-clock gate (warm events/sec >= 0.9x cold) holds
+   under --guard.  [stats_json] is the stats section's record when it
+   ran too, else the committed one. *)
 let online cfg stats_json =
   let napps = 100 and load = 8. in
   let rng = Util.Rng.create cfg.seed in
@@ -543,16 +546,13 @@ let online cfg stats_json =
     Online.Workload_stream.poisson_load ~rng ~platform ~load
       ~dataset:Model.Workload.NpbSynth napps
   in
-  (* The cold baseline on every re-solve of a warm replay, through the
-     service's listener: returns its counters and total solve time. *)
-  let cold_baseline config =
-    let inc = Online.Incremental.create () and dt = ref 0. and lv = ref None in
+  (* [Online.Service.run] on a live instance the caller can inspect,
+     calling [on_resolve] with it after every re-solve. *)
+  let replay ?(on_resolve = ignore) config =
+    let lv = ref None in
     let listener = function
       | Online.Service.Completed _ -> ()
-      | Resolved _ ->
-        let jobs = Online.State.live (Online.Service.live_state (Option.get !lv)) in
-        let apps = Array.map Online.State.remaining_app jobs in
-        dt := !dt +. snd (timed (fun () -> Online.Incremental.solve inc ~platform ~apps))
+      | Resolved _ -> on_resolve (Option.get !lv)
     in
     let live = Online.Service.live_create ~config ~listener ~platform () in
     lv := Some live;
@@ -564,15 +564,34 @@ let online cfg stats_json =
         | Departure id -> ignore (Online.Service.cancel live ~at:time ~id : bool))
       (Online.Workload_stream.events stream);
     Online.Service.drain live;
+    live
+  in
+  (* The cold baseline on every re-solve of a warm replay: returns its
+     counters and total solve time. *)
+  let cold_baseline config =
+    let inc = Online.Incremental.create () and dt = ref 0. in
+    let on_resolve lv =
+      let jobs = Online.State.live (Online.Service.live_state lv) in
+      let apps = Array.map Online.State.remaining_app jobs in
+      dt := !dt +. snd (timed (fun () -> Online.Incremental.solve inc ~platform ~apps))
+    in
+    ignore (replay ~on_resolve config : Online.Service.live);
     (Online.Incremental.counters inc, !dt)
   in
   let results =
     List.map
       (fun policy ->
         let config = { Online.Service.default_config with policy } in
-        let report, dt = timed (fun () -> Online.Service.run ~config ~platform stream) in
+        let (live, report), dt =
+          timed (fun () ->
+              let live = replay config in
+              (live, Online.Service.live_report live))
+        in
         let warm = report.Online.Service.metrics in
         let events = float_of_int warm.Online.Metrics.events in
+        let sweeps =
+          float_of_int (Online.State.sweeps (Online.Service.live_state live)) /. events
+        in
         let eps_warm = events /. Float.max dt 1e-9 in
         let cold, dt_cold = cold_baseline config in
         let eps_cold = events /. Float.max dt_cold 1e-9 in
@@ -589,14 +608,17 @@ let online cfg stats_json =
              eps_cold);
         gate ~enforced:true (speedup >= 1.5)
           (Printf.sprintf "%s: warm_vs_cold_iter_speedup %.2f < 1.5" name speedup);
-        (name, warm, cold, eps_warm, eps_cold, speedup))
+        (name, warm, cold, eps_warm, eps_cold, speedup, sweeps))
       Online.Policy.defaults
   in
   print_endline "== online service (100-app Poisson stream, load 8) ==";
   table
-    [ "policy"; "events/s(warm)"; "iters(warm)"; "iters(cold)"; "speedup"; "migrations" ]
+    [
+      "policy"; "events/s(warm)"; "iters(warm)"; "iters(cold)"; "speedup"; "migrations";
+      "sweeps/event";
+    ]
     (List.map
-       (fun (name, warm, cold, eps_warm, _, speedup) ->
+       (fun (name, warm, cold, eps_warm, _, speedup, sweeps) ->
          [
            name;
            Printf.sprintf "%.0f" eps_warm;
@@ -604,9 +626,10 @@ let online cfg stats_json =
            string_of_int cold.Online.Incremental.solver_iters;
            Printf.sprintf "%.3f" speedup;
            string_of_int warm.Online.Metrics.migrations;
+           Printf.sprintf "%.3f" sweeps;
          ])
        results);
-  let policy (name, warm, cold, eps_warm, eps_cold, speedup) =
+  let policy (name, warm, cold, eps_warm, eps_cold, speedup, sweeps) =
     obj
       [
         ("policy", str name);
@@ -614,6 +637,7 @@ let online cfg stats_json =
         ("events_per_sec_cold", num eps_cold);
         ("warm_vs_cold_iter_speedup", num speedup);
         ("migrations", string_of_int warm.Online.Metrics.migrations);
+        ("sweeps_per_event", num sweeps);
         ("warm", Online.Metrics.to_json warm);
         ( "cold",
           obj

@@ -69,12 +69,8 @@ type live = {
   listener : (notice -> unit) option;
   mutable events_since : int;
   mutable events_handled : int;
-  mutable last_solve : float;
   mutable forced : int;
   mutable migrations : int;
-  mutable pred_epoch : int;       (* completion-prediction generation *)
-  mutable pred_at : float option; (* absolute completion time of the
-                                     current prediction, if scheduled *)
   mutable last_k : float option;  (* equalised makespan of the last solve *)
   mutable basis : stats_basis option;  (* Some after a live_restore *)
 }
@@ -96,11 +92,8 @@ let live_create ?(config = default_config) ?pool ?(shard_min = default_shard_min
     listener;
     events_since = 0;
     events_handled = 0;
-    last_solve = 0.;
     forced = 0;
     migrations = 0;
-    pred_epoch = 0;
-    pred_at = None;
     last_k = None;
     basis = None;
   }
@@ -110,6 +103,8 @@ let live_now lv = Simulator.Engine.now lv.engine
 let live_epoch lv = (Incremental.counters lv.inc).Incremental.resolves
 
 let live_state lv = lv.state
+
+let pending_events lv = Simulator.Engine.pending lv.engine
 
 let last_makespan lv = lv.last_k
 
@@ -135,7 +130,9 @@ let degradation lv () =
 let resolve lv ~is_forced () =
   if State.live_count lv.state > 0 then begin
     let now = Simulator.Engine.now lv.engine in
-    let elapsed = now -. lv.last_solve in
+    (* The anchor is the last install instant: [solve_state]'s view
+       settles the live set and moves it to [now]. *)
+    let elapsed = now -. State.anchor lv.state in
     (* Columnar hot path: no per-job materialization, sharded over the
        pool when the live set is large enough. *)
     let k, migrations =
@@ -145,7 +142,6 @@ let resolve lv ~is_forced () =
     lv.migrations <- lv.migrations + migrations;
     if is_forced then lv.forced <- lv.forced + 1;
     lv.events_since <- 0;
-    lv.last_solve <- now;
     lv.last_k <- Some k;
     if lv.config.validate then State.assert_conservation lv.state;
     notify lv (Resolved { time = now; epoch = live_epoch lv; k })
@@ -176,38 +172,38 @@ let finish_event lv sp t0 =
 
 (* One next-completion event per allocation epoch: equalised cohorts
    finish together, so the earliest predicted completion sweeps every job
-   that is done to within [completion_eps].  Superseded predictions carry
-   a stale epoch and are ignored when they fire. *)
+   that is done to within [completion_eps].  A running job's absolute
+   finish is fixed when its allocation is installed and the state keeps
+   the earliest, so the prediction is read, not computed.  The engine
+   holds this one event and nothing else, replaced only when the
+   predicted instant moves (a re-solve, a completion sweep, or the
+   retirement of the earliest finisher); a firing event has left the
+   queue, so its handler always reschedules. *)
 let rec schedule_next_completion lv =
-  lv.pred_epoch <- lv.pred_epoch + 1;
-  let e = lv.pred_epoch in
-  let next = State.min_remaining_time lv.state in
-  if next < infinity then begin
-    let at = Simulator.Engine.now lv.engine +. next in
-    lv.pred_at <- Some at;
-    Simulator.Engine.schedule lv.engine ~at (fun eng -> on_completion lv eng e)
+  let next = State.next_finish lv.state in
+  let at =
+    if next < infinity then Some (Float.max next (Simulator.Engine.now lv.engine))
+    else None
+  in
+  if at <> Simulator.Engine.next_time lv.engine then begin
+    Simulator.Engine.clear lv.engine;
+    match at with
+    | Some at -> Simulator.Engine.schedule lv.engine ~at (on_completion lv)
+    | None -> ()
   end
-  else lv.pred_at <- None
 
-and on_completion lv eng e =
-  if e = lv.pred_epoch then begin
-    let on = Obs.Probe.on () in
-    let sp =
-      if on then Obs.Span.start "service.completion" else Obs.Span.null
-    in
-    let t0 = if on then Obs.Clock.now_ns () else 0L in
-    let now = Simulator.Engine.now eng in
-    State.advance lv.state ~to_:now;
-    State.iter_live lv.state (fun j ->
-        if State.procs j > 0. && State.remaining j <= completion_eps then begin
-          State.complete lv.state j;
-          notify lv (Completed { time = now; id = State.id j })
-        end);
-    lv.events_handled <- lv.events_handled + 1;
-    lv.events_since <- lv.events_since + 1;
-    after_event lv;
-    if on then finish_event lv sp t0
-  end
+and on_completion lv eng =
+  let on = Obs.Probe.on () in
+  let sp = if on then Obs.Span.start "service.completion" else Obs.Span.null in
+  let t0 = if on then Obs.Clock.now_ns () else 0L in
+  let now = Simulator.Engine.now eng in
+  State.advance lv.state ~to_:now;
+  State.complete_due lv.state ~eps:completion_eps (fun j ->
+      notify lv (Completed { time = now; id = State.id j }));
+  lv.events_handled <- lv.events_handled + 1;
+  lv.events_since <- lv.events_since + 1;
+  after_event lv;
+  if on then finish_event lv sp t0
 
 and after_event lv =
   if lv.config.validate then State.assert_conservation lv.state;
@@ -215,7 +211,7 @@ and after_event lv =
   schedule_next_completion lv
 
 (* Advance the engine (firing due completion predictions, each of which
-   integrates progress and may re-solve) and then the state clock to
+   sweeps its cohort and may re-solve) and then the state clock to
    [to_].  Times in the past clamp to now: the daemon may observe a
    request timestamped slightly behind its model clock. *)
 let advance lv ~to_ =
@@ -402,7 +398,7 @@ let live_persist lv =
              pj_id = State.id j;
              pj_app = State.app j;
              pj_arrival = State.arrival j;
-             pj_remaining = State.remaining j;
+             pj_remaining = State.settled_remaining j;
              pj_procs = State.procs j;
              pj_cache = State.cache j;
              pj_allocated = State.allocated j;
@@ -414,9 +410,9 @@ let live_persist lv =
   {
     p_time = Simulator.Engine.now lv.engine;
     p_next_id = State.next_id lv.state;
-    p_busy = State.busy_integral lv.state;
-    p_pending = lv.pred_at;
-    p_last_solve = lv.last_solve;
+    p_busy = State.settled_busy lv.state;
+    p_pending = Simulator.Engine.next_time lv.engine;
+    p_last_solve = State.anchor lv.state;
     p_last_k = lv.last_k;
     p_prev_d = Incremental.prev_demand lv.inc;
     p_events_handled = lv.events_handled;
@@ -453,11 +449,8 @@ let live_restore ?(config = default_config) ?pool
       listener;
       events_since = p.p_events_since;
       events_handled = p.p_events_handled;
-      last_solve = p.p_last_solve;
       forced = p.p_forced;
       migrations = p.p_migrations;
-      pred_epoch = 0;
-      pred_at = None;
       last_k = p.p_last_k;
       basis =
         Some
@@ -472,8 +465,8 @@ let live_restore ?(config = default_config) ?pool
     }
   in
   Simulator.Engine.advance_to lv.engine ~to_:p.p_time;
-  State.restore lv.state ~clock:p.p_time ~next_id:p.p_next_id
-    ~busy:p.p_busy;
+  State.restore lv.state ~clock:p.p_time ~anchor:p.p_last_solve
+    ~next_id:p.p_next_id ~busy:p.p_busy;
   List.iter
     (fun pj ->
       let job =
@@ -495,19 +488,13 @@ let live_restore ?(config = default_config) ?pool
      run, or its Illinois refinement would land ulps away and break the
      byte-identical recovery property. *)
   Incremental.reseed lv.inc ~prev_k:p.p_last_k ~prev_d:p.p_prev_d;
-  (* Re-arm the completion prediction at its exact recorded absolute
-     time.  Recomputing [now + remaining_time] here would land within
-     ulps of the original but not necessarily on it; carrying the
-     scheduled instant through the checkpoint keeps the post-restore
-     event sequence — and therefore every finish timestamp and
-     allocation — bit-identical to the uncrashed run. *)
-  (match p.p_pending with
-  | Some at when p.p_jobs <> [] ->
-    lv.pred_epoch <- lv.pred_epoch + 1;
-    let e = lv.pred_epoch in
-    lv.pred_at <- Some at;
-    Simulator.Engine.schedule lv.engine ~at (fun eng -> on_completion lv eng e)
-  | _ -> ());
+  (* Re-arm the completion prediction.  The injected jobs carry their
+     remaining fractions at the checkpointed anchor, so the state
+     recomputes each predicted finish [anchor + rem * exe] from the same
+     bits the uncrashed run installed: the re-armed instant equals the
+     checkpointed [p_pending], and the post-restore event sequence —
+     every finish timestamp and allocation — is bit-identical. *)
+  schedule_next_completion lv;
   lv
 
 let run ?(config = default_config) ?pool ?shard_min ~platform stream =

@@ -5,8 +5,9 @@
     {!submit}, {!cancel}, {!advance} — are pushed one at a time, in
     nondecreasing model time; predicted job completions are driven
     through an internal {!Simulator.Engine}.  At each event the live
-    state integrates progress ({!State.advance}), then the {!Policy}
-    decides whether to re-solve.  A re-solve treats the residual work as
+    state's clock moves ({!State.advance}; progress is evaluated from
+    the last install, see {!State}), then the {!Policy} decides whether
+    to re-solve.  A re-solve treats the residual work as
     a static instance of the paper's problem and runs the
     DominantMinRatio pipeline through the warm-started
     {!Incremental.solve_state}, the service's one re-solve path.  (The
@@ -23,8 +24,11 @@
     Completion handling exploits the structure of equalised schedules:
     all applications sharing a solve finish together, so a single
     next-completion event per allocation epoch sweeps the whole cohort
-    (jobs within a 1e-9 remaining-work fraction), and re-solve epochs
-    make superseded predictions inert.
+    (jobs within a 1e-9 remaining-work fraction).  The instant is the
+    state's {!State.next_finish}, recorded when allocations are
+    installed; the engine holds at most that one event, rescheduled
+    only when the instant moves.  An event that neither re-solves nor
+    completes a job is therefore O(1) in the live-set size.
 
     Whatever the policy decides, a re-solve is forced when jobs are
     queued and nothing is running — deferral policies trade response
@@ -96,6 +100,10 @@ val last_makespan : live -> float option
 (** Equalised makespan [k] of the most recent re-solve; [None] before
     the first. *)
 
+val pending_events : live -> int
+(** Events queued in the internal engine: 1 while a completion is
+    predicted, else 0.  Read-only, for observability. *)
+
 val find_job : live -> int -> State.job option
 (** Look up any admitted job (live or retired) by its dense id. *)
 
@@ -113,8 +121,9 @@ val cancel : live -> at:float -> id:int -> bool
 
 val advance : live -> to_:float -> unit
 (** Move model time forward to [to_] (clamped to [live_now]), firing due
-    completion predictions and integrating progress.  No policy event is
-    generated by the advance itself. *)
+    completion predictions; progress under the installed allocations
+    follows from the clock.  No policy event is generated by the advance
+    itself. *)
 
 val drain_step : live -> bool
 (** Run the engine dry, then — if jobs remain — force one re-solve and
@@ -138,15 +147,19 @@ val live_report : live -> report
 (** {2 Checkpoint / restore}
 
     {!live_persist} freezes a live instance into a plain {!persist}
-    value — every live job with its exact progress and allocation, the
+    value — every live job with its progress and allocation, the
     engine clock, the pending completion-prediction instant, the policy
     and re-solver counters, and the retired-job sufficient statistics.
-    {!live_restore} rebuilds a live instance from it that evolves {e bit-
-    identically} to the original under any subsequent event sequence:
-    the snapshot file stores every float's IEEE-754 bits, the completion
-    prediction is re-armed at its exact recorded absolute time (not
-    recomputed, which could drift by ulps), and allocations are
-    reinstalled verbatim without re-solving.  The warm {e seed} (the
+    Progress is stored as the state holds it: each remaining fraction
+    and the busy integral at the anchor [p_last_solve] (the last
+    install), not at [p_time].  {!live_restore} rebuilds a live instance
+    from it that evolves {e bit-identically} to the original under any
+    subsequent event sequence, even when model time moved past the last
+    install before the checkpoint: the snapshot file stores every
+    float's IEEE-754 bits, allocations are reinstalled verbatim without
+    re-solving, and each predicted finish [anchor + rem * Exe] is
+    recomputed from the same bits, so the completion prediction is
+    re-armed at exactly [p_pending].  The warm {e seed} (the
     previous makespan and demand scale) is carried, so the first
     post-restore re-solve predicts from exactly the values the uncrashed
     run would have used; the carried sort permutation is not (it only
@@ -159,7 +172,7 @@ type pjob = {
   pj_id : int;
   pj_app : Model.App.t;
   pj_arrival : float;
-  pj_remaining : float;
+  pj_remaining : float;  (** At the anchor [p_last_solve]. *)
   pj_procs : float;
   pj_cache : float;
   pj_allocated : bool;
@@ -172,10 +185,14 @@ type pjob = {
 type persist = {
   p_time : float;             (** Engine/model clock. *)
   p_next_id : int;            (** Jobs ever admitted. *)
-  p_busy : float;             (** Busy-processor integral. *)
+  p_busy : float;             (** Busy-processor integral at the anchor
+                                  ({!State.settled_busy}). *)
   p_pending : float option;   (** Absolute time of the scheduled
-                                  completion prediction, if any. *)
-  p_last_solve : float;
+                                  completion prediction, if any (the
+                                  restore recomputes the same instant). *)
+  p_last_solve : float;       (** The anchor: the last install instant,
+                                  which [pj_remaining] and [p_busy]
+                                  refer to. *)
   p_last_k : float option;
   p_prev_d : float;           (** Residual demand scale at the last
                                   solve — with [p_last_k], the warm
@@ -213,7 +230,8 @@ val live_restore :
     sharding [pool] are supplied fresh — they are process-level
     concerns, not model state.
     @raise Invalid_argument on an invalid [config.policy] or a malformed
-    checkpoint (out-of-order job ids, negative clock). *)
+    checkpoint (out-of-order job ids, negative clock, an anchor
+    [p_last_solve] outside [[0, p_time]]). *)
 
 val run :
   ?config:config -> ?pool:Exec.Pool.t -> ?shard_min:int ->

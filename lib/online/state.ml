@@ -2,18 +2,31 @@
 
    Hot per-job quantities live in flat float-array columns indexed by a
    [slot] drawn from a freelist; a [job] value is a thin handle carrying
-   the immutable identity (id, app, arrival) plus its slot.  The event
-   loop (progress integration, completion prediction, degradation
-   estimation) walks the columns linearly instead of chasing a record
-   per job, and the incremental solver reads the same columns through
-   {!view} — one arrival touches cache-dense arrays end to end.
+   the immutable identity (id, app, arrival) plus its slot.  The passes
+   that do walk the live set (settling, installing, the completion
+   sweep, degradation estimation) read the columns linearly instead of
+   chasing a record per job, and the incremental solver reads the same
+   columns through {!view}.
 
    Retirement marks the handle's slot [-1] (final values are stashed on
    the handle first) and returns the slot to the freelist, so the next
    admission reuses it; the admission-ordered [dense] iteration array
    keeps a hole where the job was until {!compact} squeezes it (lazily,
    when holes pile up or a solver view is taken).  Handles never read
-   columns after retirement, so slot reuse cannot alias. *)
+   columns after retirement, so slot reuse cannot alias.
+
+   Progress is epoch-anchored.  A running job's allocation, hence its
+   [exe], is constant between two installs, so [c_remaining] holds each
+   job's fraction at the {e anchor} (the last {!view}, i.e. the last
+   re-solve) and {!remaining} evaluates
+   [max 0 (rem0 - (clock - anchor) / exe)] on demand: the expression
+   the per-event integrator evaluated for a one-step epoch, bit for bit.
+   A running job's absolute predicted finish [anchor + rem0 * exe] is
+   fixed for the epoch too, and the state keeps the minimum, so moving
+   the clock, admitting, retiring and counting queued/running jobs are
+   all O(1); only a solver view, an install, a completion sweep and the
+   rare retirement of the earliest finisher walk the live set, and each
+   such walk is counted in [sweeps]. *)
 
 type job = {
   id : int;
@@ -28,7 +41,7 @@ type job = {
   mutable finish : float option;
   mutable cancelled : bool;
   mutable rem_final : float; (* remaining fraction at retirement *)
-  cols : cols;
+  st : t;
 }
 
 (* Parallel per-slot columns, all replaced together on growth.  The
@@ -38,7 +51,7 @@ type job = {
    the *current* allocation, refreshed on every allocation change. *)
 and cols = {
   mutable cap : int;
-  mutable c_remaining : float array;
+  mutable c_remaining : float array; (* fraction left at the anchor *)
   mutable c_procs : float array;
   mutable c_cache : float array;
   mutable c_exe : float array; (* Exe(p, x); infinity while queued *)
@@ -54,12 +67,18 @@ and cols = {
   mutable c_capx : float array; (* max useful cache fraction *)
 }
 
-type t = {
+and t = {
   platform : Model.Platform.t;
   cols : cols;
   mutable clock : float;
+  mutable anchor : float; (* last settle: the instant [c_remaining] holds *)
   mutable next_id : int;
-  mutable busy : float;
+  mutable busy : float; (* settled busy integral, see [settled_busy] *)
+  mutable nrunning : int; (* live jobs with procs > 0 *)
+  mutable nqueued : int; (* live jobs with procs = 0 *)
+  mutable next_fin : float; (* min of [finish_of] over the live set *)
+  mutable next_slot : int; (* its slot (first in dense order), or -1 *)
+  mutable sweeps : int; (* passes over the whole live set *)
   mutable dense : job array; (* admission order, with retirement holes *)
   mutable dense_slot : int array; (* slot mirror of [dense]; -1 = hole *)
   mutable ndense : int;
@@ -93,8 +112,14 @@ let create platform =
         c_capx = [||];
       };
     clock = 0.;
+    anchor = 0.;
     next_id = 0;
     busy = 0.;
+    nrunning = 0;
+    nqueued = 0;
+    next_fin = infinity;
+    next_slot = -1;
+    sweeps = 0;
     dense = [||];
     dense_slot = [||];
     ndense = 0;
@@ -108,7 +133,34 @@ let create platform =
 
 let platform t = t.platform
 let now t = t.clock
+let anchor t = t.anchor
 let next_id t = t.next_id
+let sweeps t = t.sweeps
+
+(* --- progress ---------------------------------------------------------- *)
+
+(* The remaining fraction of the job in slot [s] at the current clock:
+   one step of the flat integrator from the anchor.  Queued jobs (and
+   every job while the clock sits on the anchor) read the column. *)
+let rem_at t s =
+  let c = t.cols in
+  let rem = c.c_remaining.(s) in
+  if c.c_procs.(s) > 0. && rem > 0. && t.clock > t.anchor then
+    Float.max 0. (rem -. ((t.clock -. t.anchor) /. c.c_exe.(s)))
+  else rem
+
+(* The absolute predicted finish of the job in slot [s]: constant over
+   the epoch, since the anchor, the anchored fraction and exe only
+   change when a view settles the state and an install follows. *)
+let finish_of t s =
+  let c = t.cols in
+  if c.c_procs.(s) > 0. then t.anchor +. (c.c_remaining.(s) *. c.c_exe.(s))
+  else infinity
+
+let advance t ~to_ =
+  if Float.is_nan to_ then invalid_arg "State.advance: NaN time";
+  if to_ < t.clock then invalid_arg "State.advance: cannot advance backwards";
+  t.clock <- to_
 
 (* --- accessors --------------------------------------------------------- *)
 
@@ -121,9 +173,13 @@ let epoch j = j.epoch
 let migrations j = j.migrations
 let finish j = j.finish
 let cancelled j = j.cancelled
-let remaining j = if j.slot >= 0 then j.cols.c_remaining.(j.slot) else j.rem_final
-let procs j = if j.slot >= 0 then j.cols.c_procs.(j.slot) else 0.
-let cache j = if j.slot >= 0 then j.cols.c_cache.(j.slot) else 0.
+let remaining j = if j.slot >= 0 then rem_at j.st j.slot else j.rem_final
+let settled_remaining j =
+  if j.slot >= 0 then j.st.cols.c_remaining.(j.slot) else j.rem_final
+let procs j = if j.slot >= 0 then j.st.cols.c_procs.(j.slot) else 0.
+let predicted_finish j =
+  if j.slot >= 0 then finish_of j.st j.slot else infinity
+let cache j = if j.slot >= 0 then j.st.cols.c_cache.(j.slot) else 0.
 
 (* --- growth ------------------------------------------------------------ *)
 
@@ -175,6 +231,7 @@ let free_slot t s =
    admission order. *)
 let compact t =
   if t.ndense <> t.nlive then begin
+    t.sweeps <- t.sweeps + 1;
     let k = ref 0 in
     for i = 0 to t.ndense - 1 do
       let s = t.dense_slot.(i) in
@@ -209,12 +266,19 @@ let push_dense t j =
   t.ndense <- t.ndense + 1;
   t.nlive <- t.nlive + 1
 
+(* The running/queued counters, moved by the sign of a job's processor
+   share exactly as the counting scans they replace classified it. *)
+let count_procs t p delta =
+  if p > 0. then t.nrunning <- t.nrunning + delta
+  else if p = 0. then t.nqueued <- t.nqueued + delta
+
 (* --- admission --------------------------------------------------------- *)
 
 (* Fill every column of [slot] for a job on [app] with the given
-   progress/allocation.  The exe/access caches are pure functions of
-   the app, platform and allocation, so a checkpoint restore recomputes
-   bit-identical values. *)
+   progress (at the anchor) and allocation.  The exe/access caches are
+   pure functions of the app, platform and allocation, so a checkpoint
+   restore recomputes bit-identical values — and with them the same
+   predicted finish. *)
 let fill_slot t slot ~(app : Model.App.t) ~remaining ~procs ~cache =
   let c = t.cols and pf = t.platform in
   c.c_remaining.(slot) <- remaining;
@@ -232,9 +296,12 @@ let fill_slot t slot ~(app : Model.App.t) ~remaining ~procs ~cache =
   c.c_capx.(slot) <- Model.Power_law.max_useful_fraction ~app ~platform:pf;
   let access = Model.Exec_model.access_cost ~app ~platform:pf cache in
   c.c_access.(slot) <- access;
-  c.c_exe.(slot) <-
-    (if procs > 0. then Model.Exec_model.amdahl_flops ~app procs *. access
-     else infinity)
+  let exe =
+    if procs > 0. then Model.Exec_model.amdahl_flops ~app procs *. access
+    else infinity
+  in
+  c.c_exe.(slot) <- exe;
+  count_procs t procs 1
 
 let mk_job t ~id ~app ~arrival ~slot =
   let alone_time =
@@ -254,7 +321,7 @@ let mk_job t ~id ~app ~arrival ~slot =
     finish = None;
     cancelled = false;
     rem_final = 0.;
-    cols = t.cols;
+    st = t;
   }
 
 let add t ~app =
@@ -265,13 +332,16 @@ let add t ~app =
   push_dense t job;
   job
 
-let restore t ~clock ~next_id ~busy =
+let restore t ~clock ~anchor ~next_id ~busy =
   if t.nlive > 0 || t.finished_rev <> [] then
     invalid_arg "State.restore: state is not fresh";
   if Float.is_nan clock || clock < 0. then
     invalid_arg "State.restore: bad clock";
+  if Float.is_nan anchor || anchor < 0. || anchor > clock then
+    invalid_arg "State.restore: bad anchor";
   if next_id < 0 then invalid_arg "State.restore: bad next_id";
   t.clock <- clock;
+  t.anchor <- anchor;
   t.next_id <- next_id;
   t.busy <- busy
 
@@ -296,19 +366,56 @@ let inject t ~id ~app ~arrival ~remaining ~procs ~cache ~allocated ~epoch
   job.migrations <- migrations;
   push_dense t job;
   if id >= t.next_id then t.next_id <- id + 1;
+  (* Injection runs in dense order, so a strict [<] keeps the first
+     minimum, as the install pass does. *)
+  let fin = finish_of t slot in
+  if fin < t.next_fin then begin
+    t.next_fin <- fin;
+    t.next_slot <- slot
+  end;
   job
 
 (* --- retirement -------------------------------------------------------- *)
 
-let retire t job ~zero_remaining =
-  if job.slot < 0 then invalid_arg "State: job is not live";
+(* The earliest predicted finish over the live set, first in dense
+   order. *)
+let rescan_next t =
+  t.sweeps <- t.sweeps + 1;
+  let best = ref infinity and best_slot = ref (-1) in
+  for i = 0 to t.ndense - 1 do
+    let s = t.dense_slot.(i) in
+    if s >= 0 then begin
+      let fin = finish_of t s in
+      if fin < !best then begin
+        best := fin;
+        best_slot := s
+      end
+    end
+  done;
+  t.next_fin <- !best;
+  t.next_slot <- !best_slot
+
+(* Retire [job] without touching the earliest-finish record.  A running
+   job's progress since the anchor enters the busy integral here, since
+   no later settle will see it. *)
+let retire_slot t job ~zero_remaining =
   let s = job.slot in
-  job.rem_final <- (if zero_remaining then 0. else t.cols.c_remaining.(s));
+  let p = t.cols.c_procs.(s) in
+  job.rem_final <- (if zero_remaining then 0. else rem_at t s);
+  if p > 0. && t.clock > t.anchor then
+    t.busy <- t.busy +. (p *. (t.clock -. t.anchor));
+  count_procs t p (-1);
   job.slot <- (-1);
   t.dense_slot.(job.dpos) <- (-1);
   free_slot t s;
   t.nlive <- t.nlive - 1;
   t.finished_rev <- job :: t.finished_rev
+
+let retire t job ~zero_remaining =
+  if job.slot < 0 then invalid_arg "State: job is not live";
+  let s = job.slot in
+  retire_slot t job ~zero_remaining;
+  if s = t.next_slot then rescan_next t
 
 let complete t job =
   retire t job ~zero_remaining:true;
@@ -318,64 +425,48 @@ let cancel t job =
   retire t job ~zero_remaining:false;
   job.cancelled <- true
 
+(* A job whose predicted finish is not after the clock completes even
+   when rounding left it more than [eps]: the prediction that fired was
+   its own, and keeping it would re-arm the same instant forever. *)
+let complete_due t ~eps f =
+  t.sweeps <- t.sweeps + 1;
+  let c = t.cols in
+  let best = ref infinity and best_slot = ref (-1) in
+  for i = 0 to t.ndense - 1 do
+    let s = t.dense_slot.(i) in
+    if s >= 0 && c.c_procs.(s) > 0. then begin
+      let fin = finish_of t s in
+      if fin <= t.clock || rem_at t s <= eps then begin
+        let j = t.dense.(i) in
+        retire_slot t j ~zero_remaining:true;
+        j.finish <- Some t.clock;
+        f j
+      end
+      else if fin < !best then begin
+        best := fin;
+        best_slot := s
+      end
+    end
+  done;
+  t.next_fin <- !best;
+  t.next_slot <- !best_slot
+
 (* --- iteration --------------------------------------------------------- *)
 
 let live_count t = t.nlive
-
-let iter_live t f =
-  (* Safe against retirement of the visited job from inside [f]:
-     retiring only blanks dense entries, never moves them. *)
-  for i = 0 to t.ndense - 1 do
-    if t.dense_slot.(i) >= 0 then f t.dense.(i)
-  done
 
 let live t =
   if t.nlive = 0 then [||]
   else begin
     compact t;
+    t.sweeps <- t.sweeps + 1;
     Array.sub t.dense 0 t.nlive
   end
 
 let finished t = List.rev t.finished_rev
-
-let running t =
-  let c = ref 0 in
-  for i = 0 to t.ndense - 1 do
-    let s = t.dense_slot.(i) in
-    if s >= 0 && t.cols.c_procs.(s) > 0. then incr c
-  done;
-  !c
-
-let queued t =
-  let c = ref 0 in
-  for i = 0 to t.ndense - 1 do
-    let s = t.dense_slot.(i) in
-    if s >= 0 && t.cols.c_procs.(s) = 0. then incr c
-  done;
-  !c
-
-(* --- progress ---------------------------------------------------------- *)
-
-let advance t ~to_ =
-  if Float.is_nan to_ then invalid_arg "State.advance: NaN time";
-  if to_ < t.clock then invalid_arg "State.advance: cannot advance backwards";
-  let dt = to_ -. t.clock in
-  if dt > 0. then begin
-    let c = t.cols in
-    for i = 0 to t.ndense - 1 do
-      let s = t.dense_slot.(i) in
-      if s >= 0 then begin
-        let p = c.c_procs.(s) in
-        if p > 0. then begin
-          t.busy <- t.busy +. (p *. dt);
-          let rem = c.c_remaining.(s) in
-          if rem > 0. then
-            c.c_remaining.(s) <- Float.max 0. (rem -. (dt /. c.c_exe.(s)))
-        end
-      end
-    done
-  end;
-  t.clock <- to_
+let running t = t.nrunning
+let queued t = t.nqueued
+let next_finish t = t.next_fin
 
 let remaining_app job =
   if job.finish <> None || job.cancelled then
@@ -385,24 +476,13 @@ let remaining_app job =
 let remaining_time ~platform:_ job =
   if job.slot < 0 then infinity
   else begin
-    let c = job.cols and s = job.slot in
+    let c = job.st.cols and s = job.slot in
     if c.c_procs.(s) <= 0. then infinity
-    else c.c_remaining.(s) *. c.c_exe.(s)
+    else rem_at job.st s *. c.c_exe.(s)
   end
 
-let min_remaining_time t =
-  let c = t.cols in
-  let acc = ref infinity in
-  for i = 0 to t.ndense - 1 do
-    let s = t.dense_slot.(i) in
-    if s >= 0 && c.c_procs.(s) > 0. then begin
-      let v = c.c_remaining.(s) *. c.c_exe.(s) in
-      if v < !acc then acc := v
-    end
-  done;
-  !acc
-
 let demand_summary t =
+  t.sweeps <- t.sweeps + 1;
   let c = t.cols in
   let used = ref 0. and queued_w = ref 0. and total_w = ref 0. in
   for i = 0 to t.ndense - 1 do
@@ -410,7 +490,7 @@ let demand_summary t =
     if s >= 0 then begin
       let p = c.c_procs.(s) in
       used := !used +. p;
-      let wk = c.c_remaining.(s) *. (c.c_w.(s) *. c.c_access.(s)) in
+      let wk = rem_at t s *. (c.c_w.(s) *. c.c_access.(s)) in
       total_w := !total_w +. wk;
       if p = 0. then queued_w := !queued_w +. wk
     end
@@ -422,47 +502,32 @@ let demand_summary t =
 let rel_changed a b =
   Float.abs (a -. b) > 1e-9 *. Float.max 1e-30 (Float.max (Float.abs a) (Float.abs b))
 
-(* Install one job's allocation: columns, the exe/access caches, and the
-   migration/epoch bookkeeping.  [access] is the precomputed access cost
-   at [cache] when the caller (the columnar solver) already derived it;
-   otherwise it is recomputed from the model — the same pure function,
-   so both paths cache bit-identical values. *)
+(* Install one job's allocation: columns, the exe/access caches and the
+   migration/epoch bookkeeping.  [access] is
+   the access cost at [cache], derived by the solver.  Runs only on a
+   settled state ([anchor = clock]), so [c_remaining] is current. *)
 let set_alloc t job ~procs ~cache ~access =
-  if job.slot < 0 then invalid_arg "State: job is not live";
   let c = t.cols and s = job.slot in
   let migrated =
     job.allocated
     && (rel_changed c.c_procs.(s) procs || rel_changed c.c_cache.(s) cache)
   in
   if migrated then job.migrations <- job.migrations + 1;
+  count_procs t c.c_procs.(s) (-1);
+  count_procs t procs 1;
   c.c_procs.(s) <- procs;
   c.c_cache.(s) <- cache;
-  let access =
-    match access with
-    | Some a -> a
-    | None ->
-      Model.Exec_model.access_cost ~app:job.app ~platform:t.platform cache
-  in
   c.c_access.(s) <- access;
-  c.c_exe.(s) <-
-    (if procs > 0. then
-       ((c.c_s.(s) *. c.c_w.(s)) +. ((1. -. c.c_s.(s)) *. c.c_w.(s) /. procs))
-       *. access
-     else infinity);
+  let exe =
+    if procs > 0. then
+      ((c.c_s.(s) *. c.c_w.(s)) +. ((1. -. c.c_s.(s)) *. c.c_w.(s) /. procs))
+      *. access
+    else infinity
+  in
+  c.c_exe.(s) <- exe;
   if procs > 0. then job.allocated <- true;
   job.epoch <- job.epoch + 1;
   migrated
-
-let apply t jobs allocs =
-  if Array.length jobs <> Array.length allocs then
-    invalid_arg "State.apply: jobs and allocations must have the same length";
-  let migrations = ref 0 in
-  Array.iteri
-    (fun i job ->
-      let { Model.Schedule.procs; cache } = allocs.(i) in
-      if set_alloc t job ~procs ~cache ~access:None then incr migrations)
-    jobs;
-  !migrations
 
 (* --- solver view ------------------------------------------------------- *)
 
@@ -481,8 +546,32 @@ type view = {
   v_capx : float array;
 }
 
+(* Move the anchor to the clock: write every running job's remaining
+   fraction and fold its busy time, in dense order — the per-event
+   integrator's loop, run once per epoch instead of once per event. *)
+let settle t =
+  if t.clock > t.anchor then begin
+    let dt = t.clock -. t.anchor in
+    let c = t.cols in
+    for i = 0 to t.ndense - 1 do
+      let s = t.dense_slot.(i) in
+      if s >= 0 then begin
+        let p = c.c_procs.(s) in
+        if p > 0. then begin
+          t.busy <- t.busy +. (p *. dt);
+          let rem = c.c_remaining.(s) in
+          if rem > 0. then
+            c.c_remaining.(s) <- Float.max 0. (rem -. (dt /. c.c_exe.(s)))
+        end
+      end
+    done
+  end;
+  t.anchor <- t.clock
+
 let view t =
   compact t;
+  t.sweeps <- t.sweeps + 1;
+  settle t;
   let n = t.nlive in
   if Array.length t.view_slot < n then
     t.view_slot <- Array.make (max n ((2 * Array.length t.view_slot) + 8)) 0;
@@ -504,24 +593,47 @@ let view t =
   }
 
 let apply_view t ~n ~procs ~cache ~access =
-  if n <> t.nlive || t.ndense <> t.nlive then
+  if n <> t.nlive || t.ndense <> t.nlive || t.anchor <> t.clock then
     invalid_arg "State.apply_view: stale view";
+  t.sweeps <- t.sweeps + 1;
   let migrations = ref 0 in
+  let best = ref infinity and best_slot = ref (-1) in
   for i = 0 to n - 1 do
-    if
-      set_alloc t t.dense.(i) ~procs:procs.(i) ~cache:cache.(i)
-        ~access:(Some access.(i))
-    then incr migrations
+    let j = t.dense.(i) in
+    if set_alloc t j ~procs:procs.(i) ~cache:cache.(i) ~access:access.(i) then
+      incr migrations;
+    let fin = finish_of t j.slot in
+    if fin < !best then begin
+      best := fin;
+      best_slot := j.slot
+    end
   done;
+  t.next_fin <- !best;
+  t.next_slot <- !best_slot;
   !migrations
 
 (* --- bookkeeping ------------------------------------------------------- *)
 
-let busy_integral t = t.busy
+let settled_busy t = t.busy
+
+let busy_integral t =
+  if t.clock > t.anchor && t.nrunning > 0 then begin
+    t.sweeps <- t.sweeps + 1;
+    let dt = t.clock -. t.anchor in
+    let c = t.cols in
+    let b = ref t.busy in
+    for i = 0 to t.ndense - 1 do
+      let s = t.dense_slot.(i) in
+      if s >= 0 && c.c_procs.(s) > 0. then b := !b +. (c.c_procs.(s) *. dt)
+    done;
+    !b
+  end
+  else t.busy
 
 let mem_stats t = (t.hwm, t.nfree, t.nlive, t.ndense)
 
 let conservation_violation t =
+  t.sweeps <- t.sweeps + 1;
   let p = t.platform.Model.Platform.p in
   let eps = 1e-6 in
   let bad = ref None in

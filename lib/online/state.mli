@@ -5,8 +5,22 @@
     under the paper's model: with allocation [(p, x)] held constant, the
     whole application takes [Exe(p, x)] ({!Model.Exec_model.exe}), so an
     interval of length [dt] completes [dt / Exe(p, x)] of the work.
-    Integrating progress at every event keeps the state consistent no
-    matter when the policy chooses to re-solve.
+
+    {2 Epoch-anchored progress}
+
+    Allocations change only when a re-solve installs new ones, so the
+    state stores each job's remaining fraction at the {e anchor} — the
+    instant of the last {!view}, which every re-solve takes — and
+    evaluates {!remaining} on demand as
+    [max 0 (rem_anchor - (now - anchor) / Exe(p, x))].  Moving the
+    clock ({!advance}), admitting, retiring and counting
+    {!running}/{!queued} jobs are O(1); {!view} settles every live job
+    at the clock and moves the anchor there.  Each running job's
+    absolute predicted finish [anchor + rem_anchor * Exe(p, x)] is fixed
+    when its allocation is installed, and {!next_finish} keeps their
+    minimum, so the next completion is known without a scan.
+    When an epoch holds one clock step (a re-solve at every event), the
+    values are bit-identical to integrating every job at every event.
 
     Jobs with [procs = 0] are {e queued}: admitted but not yet granted an
     allocation (they make no progress).  The re-solvers see each live job
@@ -19,11 +33,11 @@
     Hot per-job state (remaining fraction, allocation, cached execution
     rates, the solver's per-app constants) lives in flat float-array
     {e columns} indexed by a slot drawn from a freelist; a {!job} value
-    is a handle carrying the immutable identity and its slot.  The event
-    loop and the incremental solver walk the columns linearly — one
-    arrival touches cache-dense arrays instead of chasing records —
-    which is what lets the service hold 10⁵ live jobs (perfbench's
-    [live-1e5] workload runs it at that size).  Retiring a job returns
+    is a handle carrying the immutable identity and its slot.  The
+    solver view, the install pass, the completion sweep and the
+    incremental solver walk the columns linearly instead of chasing
+    records, which is what lets the service hold 10⁵ live jobs
+    (perfbench's [live-1e5] workload runs it at that size).  Retiring a job returns
     its slot to the freelist for the next admission; the admission-ordered
     iteration array keeps a hole until {!compact} squeezes it out
     (called lazily, and before every solver {!view}). *)
@@ -43,6 +57,10 @@ val platform : t -> Model.Platform.t
 
 val now : t -> float
 (** Time the state was last advanced to. *)
+
+val anchor : t -> float
+(** The instant the stored remaining fractions refer to: the last
+    {!view} (so the last re-solve), or the {!restore}d anchor. *)
 
 val next_id : t -> int
 (** The id the next {!add} will assign (the number of jobs ever
@@ -64,8 +82,13 @@ val alone_time : job -> float
     denominator). *)
 
 val remaining : job -> float
-(** Fraction of [w] left, in [0, 1] (0 after completion; frozen at its
-    last value after cancellation). *)
+(** Fraction of [w] left at {!now}, in [0, 1] (0 after completion;
+    frozen at its last value after cancellation).  O(1): evaluated from
+    the anchor. *)
+
+val settled_remaining : job -> float
+(** Fraction of [w] left at the {!anchor} — what a checkpoint stores
+    ([remaining] after retirement). *)
 
 val procs : job -> float
 (** Processor share; 0 while queued and after retirement. *)
@@ -91,19 +114,22 @@ val cancelled : job -> bool
 (** {2 Lifecycle} *)
 
 val advance : t -> to_:float -> unit
-(** Integrate progress of every running job up to [to_] under the current
-    allocations, and accumulate the busy-processor integral (for
-    utilization).  Remaining fractions are clamped at 0.
-    @raise Invalid_argument when [to_] precedes {!now}. *)
+(** Move the clock to [to_].  O(1): progress under the current
+    allocations is evaluated on demand from the {!anchor}.
+    @raise Invalid_argument when [to_] is NaN or precedes {!now}. *)
 
 val add : t -> app:Model.App.t -> job
 (** Admit an arrival (queued, no allocation) at the current time. *)
 
-val restore : t -> clock:float -> next_id:int -> busy:float -> unit
+val restore :
+  t -> clock:float -> anchor:float -> next_id:int -> busy:float -> unit
 (** Reset the scalar fields of a {e fresh} state to checkpointed values —
     the first step of rebuilding a live core from a snapshot
-    ({!Serve.Snapshot}).  @raise Invalid_argument if the state already
-    holds jobs, or on a negative/NaN clock or negative [next_id]. *)
+    ({!Serve.Snapshot}).  [busy] is the {!settled_busy} value and the
+    remaining fractions later {!inject}ed refer to [anchor].
+    @raise Invalid_argument if the state already holds jobs, on a
+    negative/NaN clock, an anchor outside [[0, clock]] or a negative
+    [next_id]. *)
 
 val inject : t ->
   id:int ->
@@ -116,20 +142,31 @@ val inject : t ->
   epoch:int ->
   migrations:int ->
   job
-(** Re-admit a checkpointed live job with explicit progress and
-    allocation, in increasing [id] order.  [alone_time] and the cached
-    execution-rate columns are recomputed from [app] (pure functions of
-    the app, platform and allocation, so the restored values are
-    bit-identical to the originals).  Does not advance the clock or bump
-    epochs.  @raise Invalid_argument on a duplicate or out-of-order
-    id. *)
+(** Re-admit a checkpointed live job with explicit progress (at the
+    {!anchor}) and allocation, in increasing [id] order.  [alone_time],
+    the cached execution-rate columns and the predicted finish are
+    recomputed from [app] (pure functions of the app, platform,
+    allocation and anchor, so the restored values are bit-identical to
+    the originals).  Does not advance the clock or bump epochs.
+    @raise Invalid_argument on a duplicate or out-of-order id. *)
 
 val complete : t -> job -> unit
 (** Mark a job finished at the current time and retire it from the live
-    set.  @raise Invalid_argument if the job is not live. *)
+    set.  O(1), except that retiring the job {!next_finish} refers to
+    rescans the live set for the next one.
+    @raise Invalid_argument if the job is not live. *)
 
 val cancel : t -> job -> unit
-(** Retire a live job without completion (an explicit departure). *)
+(** Retire a live job without completion (an explicit departure); costs
+    as {!complete}. *)
+
+val complete_due : t -> eps:float -> (job -> unit) -> unit
+(** The completion sweep, one pass over the live set: complete every
+    running job whose {!remaining} is at most [eps] or whose predicted
+    finish is not after {!now}, calling [f] on each right after it is
+    retired (in arrival order), and record the earliest predicted finish
+    among the survivors as {!next_finish}.  [f] must not admit or retire
+    jobs. *)
 
 (** {2 Live-set queries} *)
 
@@ -140,19 +177,14 @@ val live : t -> job array
 val live_count : t -> int
 (** Number of live jobs, without materializing them. *)
 
-val iter_live : t -> (job -> unit) -> unit
-(** Visit every live job in arrival order without allocating.  The
-    callback may retire the job it is visiting (the completion sweep
-    does), but must not admit jobs. *)
-
 val finished : t -> job list
 (** Retired jobs (completed and cancelled), in retirement order. *)
 
 val running : t -> int
-(** Live jobs currently holding processors. *)
+(** Live jobs currently holding processors.  O(1): a maintained count. *)
 
 val queued : t -> int
-(** Live jobs admitted but not yet allocated ([procs = 0]). *)
+(** Live jobs admitted but not yet allocated ([procs = 0]).  O(1). *)
 
 val remaining_app : job -> Model.App.t
 (** The residual application: [app] with work scaled by the remaining
@@ -164,23 +196,22 @@ val remaining_time : platform:Model.Platform.t -> job -> float
     execution-rate column — bit-identical to recomputing
     {!Model.Exec_model.exe} on the current allocation. *)
 
-val min_remaining_time : t -> float
-(** Minimum {!remaining_time} over the live set ([infinity] when nothing
-    runs), in one column scan. *)
+val predicted_finish : job -> float
+(** The absolute instant the job completes under its current allocation,
+    [anchor + rem_anchor * Exe(p, x)], fixed when the allocation was
+    installed; [infinity] while queued and after retirement.  O(1). *)
+
+val next_finish : t -> float
+(** The earliest absolute predicted finish over the live set
+    ([infinity] when nothing runs): the minimum of
+    [anchor + rem_anchor * Exe(p, x)] as found by the last install,
+    {!inject}, {!complete_due} or earliest-finish rescan.  O(1). *)
 
 val demand_summary : t -> float * float * float
 (** [(used, queued_work, total_work)] over the live set in one column
     scan: the processor shares in use, and the residual work
     [remaining * work_cost] of queued jobs and of all jobs — the inputs
     of the policy's degradation estimate. *)
-
-val apply : t -> job array -> Model.Schedule.alloc array -> int
-(** [apply t jobs allocs] installs a fresh solver allocation on [jobs]
-    (same order), bumps every epoch, refreshes the cached execution
-    rates, and returns the number of {e migrations}: already-allocated
-    jobs whose processor share or cache fraction changed by more than a
-    1e-9 relative tolerance.  @raise Invalid_argument on length
-    mismatch. *)
 
 (** {2 Solver view}
 
@@ -206,8 +237,9 @@ type view = {
     of the compacted live set. *)
 
 val view : t -> view
-(** Compact the live set and expose the columns.  Positions are arrival
-    (= id) order. *)
+(** Compact the live set, settle it at {!now} (write every remaining
+    fraction, fold the busy integral, move the {!anchor} to {!now}) and
+    expose the columns.  Positions are arrival (= id) order. *)
 
 val apply_view : t ->
   n:int ->
@@ -215,11 +247,15 @@ val apply_view : t ->
   cache:float array ->
   access:float array ->
   int
-(** Columnar {!apply}: install position-indexed allocations from the
-    solver's buffers ([access] is the access cost at the new cache
-    fraction, already derived during the solve), returning the migration
-    count.  Must follow a {!view} with no interleaved admission or
-    retirement.  @raise Invalid_argument if the live set changed. *)
+(** Install position-indexed allocations from the solver's buffers
+    ([access] is the access cost at the new cache fraction, already
+    derived during the solve): bump every epoch, refresh the cached
+    execution rates and predicted finishes (and {!next_finish}), and
+    return the number of {e migrations} — already-allocated jobs whose
+    processor share or cache fraction changed by more than a 1e-9
+    relative tolerance.  Must follow a {!view} with no interleaved
+    admission, retirement or clock move.
+    @raise Invalid_argument if the live set or the clock changed. *)
 
 val compact : t -> unit
 (** Squeeze retirement holes out of the iteration array now (normally
@@ -232,7 +268,19 @@ val mem_stats : t -> int * int * int * int
     the current hole count. *)
 
 val busy_integral : t -> float
-(** [integral of (sum of live procs) dt] since creation. *)
+(** [integral of (sum of live procs) dt] since creation, up to {!now}
+    (one pass over the live set when jobs ran since the anchor). *)
+
+val settled_busy : t -> float
+(** The busy integral without the live jobs' progress since the
+    {!anchor} (retired jobs' is included) — what a checkpoint stores. *)
+
+val sweeps : t -> int
+(** Passes over the whole live set so far: views, installs, completion
+    sweeps, earliest-finish rescans, compactions and the O(n) queries
+    ({!live}, {!demand_summary}, {!busy_integral},
+    {!conservation_violation}).  Read-only; an event that neither
+    re-solves nor completes a job adds none. *)
 
 val conservation_violation : t -> string option
 (** [None] when the live allocations satisfy the CoSchedCache

@@ -4,7 +4,7 @@ type t = {
   dedup : (string * int * Protocol.response) list;
 }
 
-let format_version = 2
+let format_version = 3
 let magic = "COSCHSNP"
 
 let quarantine_path path = path ^ ".quarantine"
@@ -17,6 +17,13 @@ let generation_path path k =
 
 exception Invalid of string
 
+(* Formats 1 and 2 stored progress and the busy integral at [p_time]
+   (the live core integrated them at every event).  Format 3 stores them
+   at the anchor [p_last_solve], so an older file restores with its
+   anchor moved to [p_time]: exact for the state it holds. *)
+let reanchor t =
+  { t with persist = { t.persist with Online.Service.p_last_solve = t.persist.p_time } }
+
 let invalid fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
 
 (* --- binary layout -------------------------------------------------------
@@ -27,7 +34,12 @@ let invalid fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
             fields, allocated flags, epochs, migrations), then the dedup
             count and its entries (length-prefixed sid, rid,
             length-prefixed protocol reply)
-   trailer  {!Campaign.Digest.sum64} of the payload
+   trailer  {!Campaign.Digest.sum64} of the header and the payload
+
+   Formats 2 and 3 share this layout; they differ in what the progress
+   fields mean (see [reanchor]), and a format-2 checksum covers the
+   payload alone.  Covering the header means a damaged version field
+   cannot turn a format-3 file into a valid format-2 one.
 
    Integers and lengths are 8-byte little-endian, flags one byte, and
    floats their IEEE-754 bits, so every value (-0., infinities, NaN
@@ -241,17 +253,20 @@ let of_binary data =
   let n = String.length data in
   if n < header_len + trailer_len then invalid "snapshot truncated: %d bytes" n;
   let version = String.get_int64_le data 8 in
-  if version <> Int64.of_int format_version then
+  if version <> Int64.of_int format_version && version <> 2L then
     invalid "unsupported snapshot format %Ld" version;
   let len = n - header_len - trailer_len in
   let declared = String.get_int64_le data 16 in
   if declared <> Int64.of_int len then
     invalid "payload of %Ld bytes declared, %d on disk" declared len;
-  if
-    String.get_int64_le data (n - trailer_len)
-    <> Campaign.Digest.sum64 data ~pos:header_len ~len
-  then invalid "snapshot checksum mismatched";
-  decode { s = data; pos = header_len; limit = header_len + len }
+  let sum =
+    if version = 2L then Campaign.Digest.sum64 data ~pos:header_len ~len
+    else Campaign.Digest.sum64 data ~pos:0 ~len:(header_len + len)
+  in
+  if String.get_int64_le data (n - trailer_len) <> sum then
+    invalid "snapshot checksum mismatched";
+  let t = decode { s = data; pos = header_len; limit = header_len + len } in
+  if version = 2L then reanchor t else t
 
 (* --- the format-1 JSON reader (restore only) ------------------------------
 
@@ -393,7 +408,8 @@ let of_file path =
   | data -> (
     match
       if String.starts_with ~prefix:magic data then of_binary data
-      else if String.starts_with ~prefix:legacy_prefix data then Legacy.of_lines data
+      else if String.starts_with ~prefix:legacy_prefix data then
+        reanchor (Legacy.of_lines data)
       else invalid "not a snapshot file"
     with
     | t -> Ok t
@@ -478,7 +494,9 @@ let write ~path ?(keep = 1) t =
   add_int header format_version;
   add_int header len;
   let trailer = Bytes.create trailer_len in
-  Bytes.set_int64_le trailer 0 (Campaign.Digest.sum64 payload ~pos:0 ~len);
+  let summed = Buffer.contents header ^ payload in
+  Bytes.set_int64_le trailer 0
+    (Campaign.Digest.sum64 summed ~pos:0 ~len:(String.length summed));
   let tmp = tmp_path path in
   let oc = open_out_bin tmp in
   Fun.protect

@@ -3,14 +3,20 @@
     (session, request-id) dedup cache.
 
     A file is binary: {!magic}, the format version and the payload
-    length, then the payload, then a 64-bit FNV-1a checksum of the
-    payload ({!Campaign.Digest.sum64}).  The payload holds the watermark
+    length, then the payload, then a 64-bit FNV-1a checksum of those
+    header bytes and the payload ({!Campaign.Digest.sum64}; format 2
+    summed the payload alone).  The payload holds the watermark
     and the live core's scalars, then one column per job field (ids,
     length-prefixed names, the IEEE-754 bits of the ten float fields,
     the allocated flags, epochs and migrations), then the
     length-prefixed dedup entries.  Floats are stored as their bits, so
     a restore is bit-identical ({!Online.Service.live_restore}),
-    [infinity] and [-0.] included.
+    [infinity] and [-0.] included.  Format 3 stores each remaining
+    fraction and the busy integral at the anchor [p_last_solve], as the
+    live core holds them; format 2 has the same layout but stored them
+    at [p_time], so a format-2 file is read with its anchor moved to
+    [p_time] (exact for the state it holds; only the warm seed's
+    fallback ageing base differs).
 
     The write path is crash-safe in layers: the file is assembled in
     [path ^ ".tmp"], {e re-read and validated} (length, checksum, and a
@@ -58,9 +64,10 @@ type t = {
 }
 
 val format_version : int
-(** Version stamped into every snapshot file {!write} produces (2).
-    {!validate} also reads format 1, the JSON layout earlier releases
-    wrote, so that a directory they left still restores. *)
+(** Version stamped into every snapshot file {!write} produces (3).
+    {!validate} also reads format 2 and format 1, the JSON layout
+    earlier releases wrote, so that a directory they left still
+    restores; both are re-anchored at their [p_time]. *)
 
 val magic : string
 (** The 8-byte tag a binary snapshot file starts with. *)

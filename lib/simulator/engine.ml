@@ -44,6 +44,7 @@ let advance_to t ~to_ =
      driver's notion of now. *)
   if to_ > t.clock then t.clock <- to_
 
+let clear t = Event_queue.clear t.queue
 let events_processed t = t.processed
 let pending t = Event_queue.length t.queue
 let next_time t = Option.map fst (Event_queue.peek t.queue)

@@ -34,6 +34,10 @@ val advance_to : t -> to_:float -> unit
     this so relative schedules anchor at the external notion of now.
     @raise Invalid_argument on a NaN [to_]. *)
 
+val clear : t -> unit
+(** Drop every queued event without running it; the clock stays.  A
+    caller that keeps one pending event replaces it this way. *)
+
 val events_processed : t -> int
 (** Handlers executed so far. *)
 

@@ -2,8 +2,10 @@
    state, warm-started incremental re-solvers, policies and the service
    loop.  The load-bearing properties: the warm partition and the
    warm-seeded makespan root give the same answers as the cold
-   baselines, and every warm re-solve of a service run commits the
-   allocation the cold pipeline computes for the same residual instance. *)
+   baselines, every warm re-solve of a service run commits the
+   allocation the cold pipeline computes for the same residual instance,
+   and the epoch-anchored service agrees with the flat per-event
+   integrator kept here as an oracle. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let test name f = Alcotest.test_case name `Quick f
@@ -113,12 +115,31 @@ let policy_should_resolve () =
 
 (* --- State ------------------------------------------------------------- *)
 
+(* Install [allocs] on [jobs], which must be the whole live set in
+   arrival order, through the state's one install path: a settling
+   {!Online.State.view}, then {!Online.State.apply_view} with the access
+   costs recomputed from the model (the solver derives the same values
+   during a re-solve).  Returns the migration count. *)
+let apply state jobs allocs =
+  let v = Online.State.view state in
+  let n = v.Online.State.v_n in
+  if n <> Array.length jobs || n <> Array.length allocs then
+    invalid_arg "apply: jobs must be the live set, one allocation each";
+  let procs = Array.map (fun (a : Model.Schedule.alloc) -> a.procs) allocs in
+  let cache = Array.map (fun (a : Model.Schedule.alloc) -> a.cache) allocs in
+  let access =
+    Array.map2
+      (fun j x -> Model.Exec_model.access_cost ~app:(Online.State.app j) ~platform x)
+      jobs cache
+  in
+  Online.State.apply_view state ~n ~procs ~cache ~access
+
 let state_integrates_progress () =
   let state = Online.State.create platform in
   let app = (synth ~seed:2 1).(0) in
   let job = Online.State.add state ~app in
   ignore
-    (Online.State.apply state [| job |]
+    (apply state [| job |]
        [| { Model.Schedule.procs = platform.Model.Platform.p; cache = 1. } |]);
   let exe =
     Model.Exec_model.exe ~app ~platform ~p:platform.Model.Platform.p ~x:1.
@@ -138,7 +159,7 @@ let state_lifecycle () =
   let jobs = Array.map (fun app -> Online.State.add state ~app) apps in
   Alcotest.(check int) "all queued" 3 (Online.State.queued state);
   ignore
-    (Online.State.apply state (Online.State.live state)
+    (apply state (Online.State.live state)
        [|
          { Model.Schedule.procs = 4.; cache = 0.5 };
          { Model.Schedule.procs = 4.; cache = 0.5 };
@@ -160,11 +181,11 @@ let state_counts_migrations () =
   let jobs = [| job |] in
   let alloc p x = [| { Model.Schedule.procs = p; cache = x } |] in
   Alcotest.(check int) "first allocation is free" 0
-    (Online.State.apply state jobs (alloc 8. 0.5));
+    (apply state jobs (alloc 8. 0.5));
   Alcotest.(check int) "unchanged allocation is free" 0
-    (Online.State.apply state jobs (alloc 8. 0.5));
+    (apply state jobs (alloc 8. 0.5));
   Alcotest.(check int) "a real change migrates" 1
-    (Online.State.apply state jobs (alloc 6. 0.5));
+    (apply state jobs (alloc 6. 0.5));
   Alcotest.(check int) "per-job count" 1 (Online.State.migrations job)
 
 let state_detects_oversubscription () =
@@ -172,7 +193,7 @@ let state_detects_oversubscription () =
   let apps = synth ~seed:5 2 in
   let jobs = Array.map (fun app -> Online.State.add state ~app) apps in
   ignore
-    (Online.State.apply state jobs
+    (apply state jobs
        [|
          { Model.Schedule.procs = platform.Model.Platform.p; cache = 0.7 };
          { Model.Schedule.procs = 1.; cache = 0.7 };
@@ -406,7 +427,7 @@ let sharded_trace ~n ~jobs () =
       Online.Incremental.solve_state inc ?pool ~shard_min:1 ~elapsed ~state ()
     in
     let k1, m1 = solve ~elapsed:0. in
-    let dt = 0.25 *. Online.State.min_remaining_time state in
+    let dt = 0.25 *. (Online.State.next_finish state -. Online.State.now state) in
     Online.State.advance state ~to_:dt;
     Array.iteri
       (fun i j -> if i mod 5 = 2 then Online.State.cancel state j)
@@ -469,6 +490,345 @@ let qcheck_sharded_equals_sequential_service =
       let seq = run () in
       let shd = Exec.Pool.with_pool ~jobs (fun pool -> run ~pool ()) in
       seq = shd)
+
+(* --- the flat per-event integrator, kept as an oracle ------------------- *)
+
+(* The service as it ran before progress was epoch-anchored: every event
+   integrates every running job's remaining fraction and the busy
+   integral over the elapsed step (the loop [State.advance] used to run),
+   and every event re-predicts the next completion as
+   [now + min (remaining * exe)].  Re-solves run the production warm
+   solver, on its own [Incremental.t], over a scratch state into which
+   the oracle's live jobs are injected at their current progress with
+   the clock on the anchor — so the solver sees bit-identical inputs
+   whenever the two sides' remaining fractions agree. *)
+type ojob = {
+  o_app : Model.App.t;
+  mutable o_rem : float;
+  mutable o_procs : float;
+  mutable o_cache : float;
+  mutable o_access : float;
+  mutable o_exe : float;
+  mutable o_live : bool;
+  mutable o_finish : float option;
+  mutable o_cancelled : bool;
+}
+
+type oracle = {
+  o_policy : Online.Policy.t;
+  o_inc : Online.Incremental.t;
+  mutable o_clock : float;
+  mutable o_busy : float;
+  mutable o_jobs : ojob list; (* id order, newest last *)
+  mutable o_since : int;
+  mutable o_last_solve : float;
+  mutable o_pred : float option;
+  mutable o_resolves : int;
+}
+
+let oracle_create policy =
+  {
+    o_policy = policy;
+    o_inc = Online.Incremental.create ();
+    o_clock = 0.;
+    o_busy = 0.;
+    o_jobs = [];
+    o_since = 0;
+    o_last_solve = 0.;
+    o_pred = None;
+    o_resolves = 0;
+  }
+
+let o_live o = List.filter (fun j -> j.o_live) o.o_jobs
+
+let o_advance o ~to_ =
+  let dt = to_ -. o.o_clock in
+  if dt > 0. then
+    List.iter
+      (fun j ->
+        if j.o_live && j.o_procs > 0. then begin
+          o.o_busy <- o.o_busy +. (j.o_procs *. dt);
+          if j.o_rem > 0. then j.o_rem <- Float.max 0. (j.o_rem -. (dt /. j.o_exe))
+        end)
+      o.o_jobs;
+  o.o_clock <- Float.max o.o_clock to_
+
+let o_resolve o =
+  let live = o_live o in
+  if live <> [] then begin
+    let st = Online.State.create platform in
+    Online.State.restore st ~clock:o.o_clock ~anchor:o.o_clock ~next_id:0 ~busy:0.;
+    let handles =
+      List.mapi
+        (fun i j ->
+          Online.State.inject st ~id:i ~app:j.o_app ~arrival:0. ~remaining:j.o_rem
+            ~procs:j.o_procs ~cache:j.o_cache ~allocated:false ~epoch:0 ~migrations:0)
+        live
+    in
+    ignore
+      (Online.Incremental.solve_state o.o_inc ~elapsed:(o.o_clock -. o.o_last_solve)
+         ~state:st ());
+    List.iter2
+      (fun j h ->
+        j.o_procs <- Online.State.procs h;
+        j.o_cache <- Online.State.cache h;
+        j.o_access <- Model.Exec_model.access_cost ~app:j.o_app ~platform j.o_cache;
+        j.o_exe <-
+          (if j.o_procs > 0. then
+             Model.Exec_model.exe ~app:j.o_app ~platform ~p:j.o_procs ~x:j.o_cache
+           else infinity))
+      live handles;
+    o.o_since <- 0;
+    o.o_last_solve <- o.o_clock;
+    o.o_resolves <- o.o_resolves + 1
+  end
+
+let o_decide o =
+  let live = o_live o in
+  if live <> [] then begin
+    let queued = List.exists (fun j -> j.o_procs = 0.) live in
+    let running = List.exists (fun j -> j.o_procs > 0.) live in
+    let degradation () =
+      let p = platform.Model.Platform.p in
+      let used = ref 0. and queued_w = ref 0. and total_w = ref 0. in
+      List.iter
+        (fun j ->
+          used := !used +. j.o_procs;
+          let wk = j.o_rem *. (j.o_app.Model.App.w *. j.o_access) in
+          total_w := !total_w +. wk;
+          if j.o_procs = 0. then queued_w := !queued_w +. wk)
+        live;
+      let frac = (p -. !used) /. p in
+      (if frac > 1e-9 then frac else 0.)
+      +. if !total_w > 0. then !queued_w /. !total_w else 0.
+    in
+    if queued && not running then o_resolve o
+    else if
+      Online.Policy.should_resolve o.o_policy ~events_pending:o.o_since ~degradation
+    then o_resolve o
+  end
+
+let o_predict o =
+  let m = ref infinity in
+  List.iter
+    (fun j ->
+      if j.o_live && j.o_procs > 0. then begin
+        let v = j.o_rem *. j.o_exe in
+        if v < !m then m := v
+      end)
+    o.o_jobs;
+  o.o_pred <- (if !m < infinity then Some (o.o_clock +. !m) else None)
+
+let o_after_event o =
+  o.o_since <- o.o_since + 1;
+  o_decide o;
+  o_predict o
+
+(* Fire every prediction due at or before [at], as the engine does. *)
+let rec o_fire o ~at =
+  match o.o_pred with
+  | Some tp when tp <= at ->
+    o_advance o ~to_:tp;
+    List.iter
+      (fun j ->
+        if j.o_live && j.o_procs > 0. && j.o_rem <= 1e-9 then begin
+          j.o_live <- false;
+          j.o_rem <- 0.;
+          j.o_procs <- 0.;
+          j.o_cache <- 0.;
+          j.o_finish <- Some tp
+        end)
+      o.o_jobs;
+    o_after_event o;
+    o_fire o ~at
+  | _ -> ()
+
+let o_submit o ~at app =
+  let at = Float.max at o.o_clock in
+  o_fire o ~at;
+  o_advance o ~to_:at;
+  o.o_jobs <-
+    o.o_jobs
+    @ [
+        {
+          o_app = app;
+          o_rem = 1.;
+          o_procs = 0.;
+          o_cache = 0.;
+          o_access = Model.Exec_model.access_cost ~app ~platform 0.;
+          o_exe = infinity;
+          o_live = true;
+          o_finish = None;
+          o_cancelled = false;
+        };
+      ];
+  o_after_event o
+
+let o_cancel o ~at ~id =
+  let at = Float.max at o.o_clock in
+  o_fire o ~at;
+  match List.nth_opt o.o_jobs id with
+  | Some j when j.o_live ->
+    o_advance o ~to_:at;
+    j.o_live <- false;
+    j.o_procs <- 0.;
+    j.o_cache <- 0.;
+    j.o_cancelled <- true;
+    o_after_event o
+  | _ -> ()
+
+let o_ping o ~at =
+  let at = Float.max at o.o_clock in
+  o_fire o ~at;
+  o_advance o ~to_:at
+
+let o_drain o =
+  let continue_ = ref true in
+  while !continue_ do
+    o_fire o ~at:infinity;
+    if o_live o = [] then continue_ := false
+    else begin
+      o_resolve o;
+      o_predict o
+    end
+  done
+
+type op = Submit of int | Cancel of int | Ping
+
+let op_print = function
+  | Submit i -> Printf.sprintf "submit(%d)" i
+  | Cancel i -> Printf.sprintf "cancel(%d)" i
+  | Ping -> "ping"
+
+(* Random operation sequences with nondecreasing times (a step is a
+   fraction of one job's run alone, so completions interleave with the
+   other operations).  Cancels name any id admitted so far, live or
+   retired. *)
+let gen_ops ~pings =
+  QCheck.Gen.(
+    list_size (int_range 1 30)
+      (pair
+         (frequency
+            ([ (5, map (fun i -> Submit i) (int_bound 999)); (3, map (fun i -> Cancel i) (int_bound 999)) ]
+            @ if pings then [ (2, return Ping) ] else []))
+         (float_range 0. 0.6)))
+
+let policies = [ Online.Policy.Every_event; Batched 4; Threshold 0.1 ]
+
+(* Replay [ops] through the service and the oracle, comparing every
+   admitted job after each operation and after the drain.  [exact]
+   demands equal bits, otherwise 1e-9 relative (absolute below 1); the
+   retired sets (which jobs completed, which were cancelled) and the
+   re-solve count must match either way. *)
+let agrees_with_oracle ~exact ~seed ~policy ops =
+  let apps = synth ~seed 1000 in
+  let unit =
+    Model.Exec_model.exe ~app:apps.(0) ~platform ~p:platform.Model.Platform.p ~x:1.
+  in
+  let config = { Online.Service.default_config with policy } in
+  let lv = Online.Service.live_create ~config ~platform () in
+  let o = oracle_create policy in
+  let same a b = if exact then a = b else rel_close a b in
+  let check what =
+    let admitted = List.length o.o_jobs in
+    Online.Service.live_epoch lv = o.o_resolves
+    && List.for_all
+         (fun id ->
+           match Online.Service.find_job lv id with
+           | None -> false
+           | Some j ->
+             let oj = List.nth o.o_jobs id in
+             let ok =
+               same (Online.State.remaining j) oj.o_rem
+               && same (Online.State.procs j) oj.o_procs
+               && same (Online.State.cache j) oj.o_cache
+               && Option.equal same (Online.State.finish j) oj.o_finish
+               && Online.State.cancelled j = oj.o_cancelled
+             in
+             if not ok then
+               QCheck.Test.fail_reportf
+                 "%s: job %d: remaining %h/%h procs %h/%h cache %h/%h" what id
+                 (Online.State.remaining j) oj.o_rem (Online.State.procs j)
+                 oj.o_procs (Online.State.cache j) oj.o_cache;
+             ok)
+         (List.init admitted Fun.id)
+  in
+  let t = ref 0. in
+  List.for_all
+    (fun (op, frac) ->
+      t := !t +. (frac *. unit);
+      let admitted = List.length o.o_jobs in
+      (match op with
+      | Submit i ->
+        ignore (Online.Service.submit lv ~at:!t apps.(i) : Online.State.job);
+        o_submit o ~at:!t apps.(i)
+      | Cancel i when admitted > 0 ->
+        let id = i mod admitted in
+        ignore (Online.Service.cancel lv ~at:!t ~id : bool);
+        o_cancel o ~at:!t ~id
+      | Cancel _ -> ()
+      | Ping ->
+        Online.Service.advance lv ~to_:!t;
+        o_ping o ~at:!t);
+      check (op_print op))
+    ops
+  && begin
+       Online.Service.drain lv;
+       o_drain o;
+       let m = (Online.Service.live_report lv).Online.Service.metrics in
+       check "drain"
+       && rel_close m.Online.Metrics.utilization
+            (if o.o_clock > 0. then o.o_busy /. (platform.Model.Platform.p *. o.o_clock)
+             else 0.)
+     end
+
+let qcheck_every_event_bit_identical_to_oracle =
+  QCheck.Test.make ~count:60
+    ~name:"every-event submits/cancels == flat oracle, bit for bit"
+    (QCheck.make
+       ~print:(fun (seed, ops) ->
+         Printf.sprintf "seed %d: %s" seed
+           (String.concat " " (List.map (fun (o, f) -> Printf.sprintf "%s@+%g" (op_print o) f) ops)))
+       QCheck.Gen.(pair (int_bound 10_000) (gen_ops ~pings:false)))
+    (fun (seed, ops) ->
+      agrees_with_oracle ~exact:true ~seed ~policy:Online.Policy.Every_event ops)
+
+let qcheck_policies_track_oracle =
+  QCheck.Test.make ~count:60
+    ~name:"any policy, with pings, tracks the flat oracle (1e-9 rel)"
+    (QCheck.make
+       ~print:(fun (seed, pi, ops) ->
+         Printf.sprintf "seed %d, %s: %s" seed
+           (Online.Policy.name (List.nth policies pi))
+           (String.concat " " (List.map (fun (o, f) -> Printf.sprintf "%s@+%g" (op_print o) f) ops)))
+       QCheck.Gen.(triple (int_bound 10_000) (int_bound 2) (gen_ops ~pings:true)))
+    (fun (seed, pi, ops) ->
+      agrees_with_oracle ~exact:false ~seed ~policy:(List.nth policies pi) ops)
+
+(* --- the completion calendar: one pending prediction ------------------- *)
+
+(* 10^4 submit/cancel events that complete nothing: the engine holds the
+   one live prediction, never a pile of superseded ones. *)
+let one_pending_prediction () =
+  let config =
+    { Online.Service.default_config with policy = Online.Policy.Batched 16 }
+  in
+  let lv = Online.Service.live_create ~config ~platform () in
+  let apps = synth ~seed:61 64 in
+  Array.iter (fun a -> ignore (Online.Service.submit lv ~at:0. a : Online.State.job)) apps;
+  let k = Option.get (Online.Service.last_makespan lv) in
+  let worst = ref 0 in
+  for e = 0 to 9_999 do
+    let at = float_of_int (e + 1) *. k *. 1e-9 in
+    if e mod 2 = 0 then
+      ignore (Online.Service.submit lv ~at apps.(e mod 64) : Online.State.job)
+    else ignore (Online.Service.cancel lv ~at ~id:(64 + (e / 2)) : bool);
+    worst := max !worst (Online.Service.pending_events lv)
+  done;
+  Alcotest.(check int) "nothing completed" 0
+    (Online.Service.live_report lv).Online.Service.metrics.Online.Metrics.completed;
+  Alcotest.(check int) "at most one pending prediction" 1 !worst;
+  Alcotest.(check int) "one pending now" 1 (Online.Service.pending_events lv)
 
 (* --- Columnar state: freelist and compaction invariants ----------------- *)
 
@@ -554,5 +914,11 @@ let () =
           test "solve_state bit-identical across pools"
             sharded_solve_state_bit_identical;
           qtest qcheck_sharded_equals_sequential_service;
+        ] );
+      ( "oracle",
+        [
+          qtest qcheck_every_event_bit_identical_to_oracle;
+          qtest qcheck_policies_track_oracle;
+          test "one pending completion prediction" one_pending_prediction;
         ] );
     ]

@@ -16,7 +16,9 @@
      arrival/departure/progress histories (not just on i.i.d. instances:
      the carried permutation must survive churn);
    - the optimized refinement tracks the kept naive reference and never
-     degrades its starting point. *)
+     degrades its starting point;
+   - an online event that neither re-solves nor completes a job walks
+     the live set zero times ([State.sweeps] counts every walk). *)
 
 let test name f = Alcotest.test_case name `Quick f
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -189,7 +191,7 @@ let qcheck_warm_partition_under_churn =
           | 0 -> arrive ()
           | 1 -> if n > 1 then Online.State.cancel st live.(op mod n)
           | _ ->
-            let dt = Online.State.min_remaining_time st in
+            let dt = Online.State.next_finish st -. Online.State.now st in
             if Float.is_finite dt then
               Online.State.advance st ~to_:(Online.State.now st +. (0.5 *. dt)));
           solve_state_matches_cold inc st)
@@ -232,6 +234,65 @@ let qcheck_refine_never_degrades =
       && r.Sched.Refine.improvement >= 0.
       && r.Sched.Refine.makespan <= k0 *. (1. +. 1e-12))
 
+(* --- plain online events walk nothing ---------------------------------- *)
+
+(* The counted twin of perfbench's live-1e5 workload, at n = 2 000: a
+   Batched 16 service alternating submits and cancels while model time
+   moves by a sliver, so nothing completes and one event in sixteen
+   re-solves.  [State.sweeps] counts every pass over the live set; an
+   event that neither re-solves nor completes a job must add none.  The
+   one allowed exception is the earliest-finish rescan, when a cancel
+   retires a job whose predicted finish is the earliest (the one the
+   completion prediction was for; ties share the instant): one pass.
+   The per-event integrator this replaced walked the live set four
+   times per event. *)
+let plain_events_sweep_nothing () =
+  let n = 2_000 in
+  let config =
+    { Online.Service.default_config with policy = Online.Policy.Batched 16 }
+  in
+  let completions = ref 0 in
+  let listener = function
+    | Online.Service.Completed _ -> incr completions
+    | Resolved _ -> ()
+  in
+  let lv = Online.Service.live_create ~config ~listener ~platform () in
+  let st = Online.Service.live_state lv in
+  let apps = synth ~seed:71 (n + 500) in
+  for i = 0 to n - 1 do
+    ignore (Online.Service.submit lv ~at:0. apps.(i) : Online.State.job)
+  done;
+  let dt = Option.get (Online.Service.last_makespan lv) *. 1e-7 in
+  let plain = ref 0 and rescans = ref 0 in
+  for e = 0 to 999 do
+    let at = Online.Service.live_now lv +. dt in
+    let epoch = Online.Service.live_epoch lv and done0 = !completions in
+    let earliest =
+      e mod 2 = 1
+      && Online.State.predicted_finish (Option.get (Online.Service.find_job lv (e / 2)))
+         = Online.State.next_finish st
+    in
+    let s0 = Online.State.sweeps st in
+    if e mod 2 = 0 then
+      ignore (Online.Service.submit lv ~at apps.(n + (e / 2)) : Online.State.job)
+    else ignore (Online.Service.cancel lv ~at ~id:(e / 2) : bool);
+    let swept = Online.State.sweeps st - s0 in
+    if Online.Service.live_epoch lv = epoch && !completions = done0 then begin
+      incr plain;
+      if earliest then begin
+        incr rescans;
+        Alcotest.(check bool) (Printf.sprintf "event %d rescans at most once" e)
+          true (swept <= 1)
+      end
+      else Alcotest.(check int) (Printf.sprintf "event %d walks nothing" e) 0 swept
+    end
+  done;
+  Alcotest.(check int) "nothing completed" 0 !completions;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 1000 events plain, %d rescans" !plain !rescans)
+    true
+    (!plain >= 900 && !rescans <= 10)
+
 let () =
   Alcotest.run "perf"
     [
@@ -258,4 +319,5 @@ let () =
           qtest qcheck_refine_tracks_reference;
           qtest qcheck_refine_never_degrades;
         ] );
+      ("online", [ test "plain events walk nothing" plain_events_sweep_nothing ]);
     ]

@@ -1317,6 +1317,128 @@ let snapshot_format1_restores () =
     (allocs_payload straight)
     (allocs_payload (sbackend ~journal:j ~snapshot:s ()))
 
+(* Copy the committed snapshot directory [fixture] into [dir]. *)
+let copy_fixture fixture dir =
+  List.iter
+    (fun f ->
+      let data =
+        In_channel.with_open_bin (Filename.concat fixture f) In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          output_string oc data))
+    [ "d.snap"; "d.jsonl" ]
+
+(* The requests behind the format-2 fixture in [fixtures/snapshot-v2]:
+   an earlier release checkpointed after [pre], whose last request is a
+   ping that moved model time (7) past the last re-solve (5), and
+   journalled [post]. *)
+let migration_requests_v2 () =
+  let apps = synth ~seed:43 6 in
+  let submit ?sid ?rid ?at i = req ?sid ?rid ?at (Submit (spec_of_app apps.(i))) in
+  ( [
+      submit ~sid:"m" ~rid:1 0;
+      submit ~sid:"m" ~rid:2 ~at:2. 1;
+      submit ~at:4. 2;
+      req ~sid:"m" ~rid:3 ~at:5. (Cancel 0);
+      req ~at:7. Protocol.Ping;
+    ],
+    [
+      submit ~sid:"m" ~rid:4 ~at:8. 3;
+      req ~at:9. Protocol.Ping;
+      submit ~at:10. 4;
+      req ~at:11. (Cancel 2);
+    ] )
+
+(* Two [Allocs] replies agree: same jobs, states and epoch, every float
+   within 1e-9 relative. *)
+let allocs_close a b =
+  let close x y =
+    Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.max (Float.abs x) (Float.abs y))
+  in
+  let allocs b =
+    let r = Backend.handle b ~clients:1 (req (Query Allocs)) in
+    match r.reply with
+    | R_allocs { time; k; jobs } -> (r.epoch, time, k, jobs)
+    | _ -> Alcotest.fail "allocs query failed"
+  in
+  let ea, ta, ka, ja = allocs a and eb, tb, kb, jb = allocs b in
+  ea = eb && ta = tb
+  && Option.equal close ka kb
+  && Array.length ja = Array.length jb
+  && Array.for_all2
+       (fun (x : Protocol.job_view) (y : Protocol.job_view) ->
+         x.job = y.job && x.state = y.state && close x.procs y.procs
+         && close x.cache y.cache && close x.remaining y.remaining
+         && x.arrival = y.arrival
+         && Option.equal close x.finish y.finish)
+       ja jb
+
+let snapshot_format2_restores () =
+  with_temp_dir "migrate2" @@ fun dir ->
+  copy_fixture "fixtures/snapshot-v2" dir;
+  let j = Filename.concat dir "d.jsonl" and s = Filename.concat dir "d.snap" in
+  Alcotest.(check (option int)) "fixture is format 2" (Some 2) (Snapshot.file_format ~path:s);
+  (match Snapshot.validate ~path:s with
+  | Ok t ->
+    Alcotest.(check bool) "checkpointed after a ping" true
+      (t.persist.p_time = 7. && List.length t.persist.p_jobs = 2)
+  | Error m -> Alcotest.fail m);
+  let pre, post = migration_requests_v2 () in
+  let straight = backend () in
+  List.iter (fun r -> ignore (Backend.handle straight ~clients:1 r)) (pre @ post);
+  let b = sbackend ~journal:j ~snapshot:s () in
+  Alcotest.(check int) "only the journal tail replayed" (List.length post)
+    (Backend.recovered b);
+  Alcotest.(check bool) "format-2 snapshot + tail == straight replay (1e-9)" true
+    (allocs_close straight b);
+  (match reply_of (Backend.handle b ~clients:1 (List.hd pre)) with
+  | R_submitted { job } -> Alcotest.(check int) "cached reply" 0 job
+  | _ -> Alcotest.fail "retry of a checkpointed submit not deduplicated");
+  (* The next checkpoint is format 3, which restores bit for bit. *)
+  checkpoint b;
+  Alcotest.(check (option int))
+    "rewritten in the current format" (Some Snapshot.format_version)
+    (Snapshot.file_format ~path:s);
+  Alcotest.(check string) "format-3 restore == the restored backend"
+    (allocs_payload b)
+    (allocs_payload (sbackend ~journal:j ~snapshot:s ()))
+
+(* A checkpoint taken after a ping moved model time past the last
+   re-solve restores bit-identically: progress is stored at the anchor,
+   and the restored core evolves exactly as the uncrashed one. *)
+let snapshot_after_ping_bit_identical () =
+  with_temp_dir "pinged" @@ fun dir ->
+  let j = Filename.concat dir "d.jsonl" and s = Filename.concat dir "d.snap" in
+  let pre, post = migration_requests_v2 () in
+  let b = sbackend ~journal:j ~snapshot:s () in
+  List.iter (fun r -> ignore (Backend.handle b ~clients:1 r)) pre;
+  checkpoint b;
+  (match Snapshot.validate ~path:s with
+  | Ok t ->
+    Alcotest.(check bool) "anchor behind the clock" true
+      (t.persist.p_last_solve < t.persist.p_time)
+  | Error m -> Alcotest.fail m);
+  with_temp_dir "pinged-copy" @@ fun copy ->
+  copy_fixture dir copy;
+  let r =
+    sbackend ~journal:(Filename.concat copy "d.jsonl")
+      ~snapshot:(Filename.concat copy "d.snap") ()
+  in
+  Alcotest.(check int) "nothing past the checkpoint" 0 (Backend.recovered r);
+  List.iter
+    (fun q ->
+      ignore (Backend.handle b ~clients:1 q);
+      ignore (Backend.handle r ~clients:1 q))
+    (post @ [ req ~at:1e12 Protocol.Ping ]);
+  Alcotest.(check string) "restored == uncrashed, bit for bit" (allocs_payload b)
+    (allocs_payload r);
+  let stats b =
+    match reply_of (Backend.handle b ~clients:1 (req (Query Stats))) with
+    | R_stats { metrics; _ } -> metrics
+    | _ -> Alcotest.fail "stats query failed"
+  in
+  Alcotest.(check bool) "metrics bit-identical" true (stats b = stats r)
+
 (* The journal's directory vanishes under a running backend whose
    snapshot directory survives: the first checkpoint publishes but
    cannot start a fresh journal segment.  Every later mutation is then
@@ -1844,6 +1966,9 @@ let () =
             checkpoint_rotates_by_rename;
           test "a format-1 snapshot directory restores"
             snapshot_format1_restores;
+          test "a format-2 snapshot directory restores" snapshot_format2_restores;
+          test "a checkpoint after a ping restores bit-identically"
+            snapshot_after_ping_bit_identical;
           test "a removed journal directory refuses mutations, never raises"
             backend_journal_dir_removed_refuses_mutations;
           qtest qcheck_snapshot_roundtrip;
