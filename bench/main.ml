@@ -15,7 +15,9 @@
 
    No SECTION runs all five.  Every document is parsed back with
    Obs.Trace_json before it is written; --smoke shrinks repetitions and
-   only validates, writing no file.  The counted gates (the solver
+   only validates, writing no file, and so does --guard: a guarded run
+   checks against the committed baselines and never moves them, so only
+   an unguarded run rewrites a BENCH_* file.  The counted gates (the solver
    section's allocation and bit-identity gates, the online section's
    iteration speedup) always hold; the timing gates fail the run only
    under --guard (otherwise they print a warning).
@@ -48,7 +50,9 @@ let num = Printf.sprintf "%.6g"
 
 let emit cfg path json =
   ignore (Obs.Trace_json.parse json : Obs.Trace_json.json);
-  if cfg.smoke then Printf.printf "validated %s (smoke: not written)\n" path
+  if cfg.smoke || cfg.guard then
+    Printf.printf "validated %s (%s: not written)\n" path
+      (if cfg.smoke then "smoke" else "guard")
   else begin
     Obs.Trace_json.write ~path json;
     Printf.printf "wrote %s\n" path
@@ -139,11 +143,13 @@ let n_apps = 64
 (* Theorem 3 fractions on the dominant partition: the allocation every
    solver below actually bisects at. *)
 let fixture cfg =
-  let apps =
-    Model.Workload.generate ~rng:(Util.Rng.create cfg.seed) Model.Workload.Random
-      n_apps
+  let rng = Util.Rng.create cfg.seed in
+  let apps = Model.Workload.generate ~rng Model.Workload.Random n_apps in
+  (* Algorithm 1 with MinRatio, which draws nothing from [rng]. *)
+  let subset =
+    Sched.Partition_builder.build Sched.Partition_builder.Dominant
+      Sched.Choice.MinRatio ~rng ~platform ~apps
   in
-  let subset = Online.Incremental.cold_partition ~platform apps in
   (apps, Theory.Dominant.cache_allocation_capped ~platform ~apps subset)
 
 let n_points = 256
@@ -187,22 +193,18 @@ let bench_work_cost cfg apps =
   (direct, kernel)
 
 let bench_solve cfg apps x_star =
-  let ws = Sched.Workspace.create ~n:n_apps () in
-  let run name ?ws () =
-    measure cfg ~name ~reps:5_000 (fun () ->
-        let k = Sched.Equalize.solve_makespan ?ws ~platform ~apps x_star in
-        sink := !sink +. k;
-        k)
-  in
-  let cold_fresh = run "solve_makespan/cold-fresh" () in
-  (cold_fresh, run "solve_makespan/cold-ws" ~ws ())
+  ignore
+    (measure cfg ~name:"solve_makespan/cold-fresh" ~reps:5_000 (fun () ->
+         let k = Sched.Equalize.solve_makespan ~platform ~apps x_star in
+         sink := !sink +. k;
+         k))
 
 (* Per-evaluation allocation of both root-finder entries: a looser
    tolerance runs materially fewer objective evaluations, so equal
    words/solve at both tolerances proves the per-evaluation allocation
-   is zero (the small constant is the solve's own state record and
-   closures).  The paper entry runs through a workspace, the online
-   entry on preallocated columns as the service calls it. *)
+   is zero (the constant is the solve's own state record and closures,
+   plus, for the paper entry, its two fresh columns).  The online entry
+   runs on preallocated columns as the service calls it. *)
 type alloc_gate = {
   tight : sample;
   loose : sample;
@@ -227,18 +229,17 @@ let alloc_gate cfg ~name solve =
   { tight; loose; iters_tight = iters_at 1e-13; iters_loose = iters_at 1e-6 }
 
 let bench_zero_alloc cfg apps x_star =
-  let ws = Sched.Workspace.create ~n:n_apps () in
   let s = Array.map (fun app -> app.Model.App.s) apps in
   let costs = Sched.Equalize.work_costs ~platform ~apps ~x:x_star in
-  ( alloc_gate cfg ~name:"solve_makespan/ws-" (fun ~tol ~iters ->
-        Sched.Equalize.solve_makespan ~tol ~iters ~ws ~platform ~apps x_star),
+  ( alloc_gate cfg ~name:"solve_makespan/" (fun ~tol ~iters ->
+        Sched.Equalize.solve_makespan ~tol ~iters ~platform ~apps x_star),
     alloc_gate cfg ~name:"solve_cols/" (fun ~tol ~iters ->
         Sched.Equalize.solve_cols ~tol ~iters ~platform ~s ~costs ~n:n_apps ())
   )
 
-(* The speedup-aware refinement against its kept pre-overhaul reference. *)
+(* The speedup-aware refinement against the oracle library's
+   pre-overhaul reference. *)
 let bench_refine cfg apps x_star =
-  let ws = Sched.Workspace.create ~n:n_apps () in
   let run name refine =
     measure cfg ~name ~reps:60 (fun () ->
         let r = refine () in
@@ -247,11 +248,11 @@ let bench_refine cfg apps x_star =
   in
   let reference =
     run "refine/reference" (fun () ->
-        Sched.Refine.refine_reference ~platform ~apps ~x0:x_star ())
+        Oracle.Refine_reference.refine ~platform ~apps ~x0:x_star ())
   in
   ( reference,
     run "refine/optimized" (fun () ->
-        Sched.Refine.refine ~ws ~platform ~apps ~x0:x_star ()) )
+        Sched.Refine.refine ~platform ~apps ~x0:x_star ()) )
 
 (* The cold eviction-loop partition over progress-drift snapshots: each
    snapshot rescales works app-by-app, differentially, so consecutive
@@ -273,7 +274,7 @@ let bench_partition cfg apps =
     (measure cfg ~name:"cold_partition/eviction-loop" ~reps:2_000 (fun () ->
          let j = !cursor in
          cursor := (j + 1) mod n_snapshots;
-         let s = Online.Incremental.cold_partition ~platform snapshots.(j) in
+         let s = Oracle.Cold.partition ~platform snapshots.(j) in
          sink := !sink +. (if s.(0) then 1. else 0.);
          s))
 
@@ -385,7 +386,7 @@ let solver cfg =
   print_endline "== solver: ns/op and minor words/op ==";
   let apps, x_star = fixture cfg in
   let direct, kernel = bench_work_cost cfg apps in
-  let cold_fresh, cold_ws = bench_solve cfg apps x_star in
+  bench_solve cfg apps x_star;
   let paper, cols = bench_zero_alloc cfg apps x_star in
   let reference, optimized = bench_refine cfg apps x_star in
   bench_partition cfg apps;
@@ -406,7 +407,6 @@ let solver cfg =
   let derived =
     [
       ("work_cost_speedup_vs_exec_model", direct.ns_per_op /. kernel.ns_per_op);
-      ("solve_cold_ws_speedup_vs_fresh", cold_fresh.ns_per_op /. cold_ws.ns_per_op);
       ("refine_speedup_vs_reference", refine_speedup);
       ("solver_iters_tol13", float_of_int paper.iters_tight);
       ("solver_iters_tol6", float_of_int paper.iters_loose);
@@ -533,7 +533,7 @@ let stats cfg =
    live-set passes its state made per event ([State.sweeps]: re-solves,
    completion sweeps and threshold's degradation estimate; plain events
    walk nothing); a second, identical run hands the residual instance
-   of each of its re-solves to [Online.Incremental.solve], the cold
+   of each of its re-solves to [Oracle.Cold.solve], the cold
    baseline, timing and counting only those solves.  The warm-vs-cold
    solver-iteration speedup is a count, so its >= 1.5 gate always
    holds; the wall-clock gate (warm events/sec >= 0.9x cold) holds
@@ -569,14 +569,14 @@ let online cfg stats_json =
   (* The cold baseline on every re-solve of a warm replay: returns its
      counters and total solve time. *)
   let cold_baseline config =
-    let inc = Online.Incremental.create () and dt = ref 0. in
+    let counters = Online.Incremental.fresh_counters () and dt = ref 0. in
     let on_resolve lv =
       let jobs = Online.State.live (Online.Service.live_state lv) in
       let apps = Array.map Online.State.remaining_app jobs in
-      dt := !dt +. snd (timed (fun () -> Online.Incremental.solve inc ~platform ~apps))
+      dt := !dt +. snd (timed (fun () -> Oracle.Cold.solve counters ~platform ~apps))
     in
     ignore (replay ~on_resolve config : Online.Service.live);
-    (Online.Incremental.counters inc, !dt)
+    (counters, !dt)
   in
   let results =
     List.map
@@ -1008,7 +1008,10 @@ let cmd =
     Arg.(
       value & flag
       & info [ "guard" ]
-          ~doc:"Fail the run on the timing gates instead of warning.")
+          ~doc:
+            "Fail the run on the timing gates instead of warning; every JSON \
+             document is validated in memory and no file is written, so the \
+             committed baselines only move on an unguarded run.")
   in
   let trace =
     Arg.(

@@ -760,10 +760,14 @@ let refine_cmd =
   in
   let run seed dataset napps procs cs file max_iter tol trace metrics =
     with_obs trace metrics @@ fun () ->
-    let _rng, platform, apps =
+    let rng, platform, apps =
       make_instance ?file ~seed ~dataset ~napps ~procs ~cs ()
     in
-    let subset = Online.Incremental.cold_partition ~platform apps in
+    (* Algorithm 1 with MinRatio, which draws nothing from [rng]. *)
+    let subset =
+      Sched.Partition_builder.build Sched.Partition_builder.Dominant
+        Sched.Choice.MinRatio ~rng ~platform ~apps
+    in
     let x0 = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
     let k0 = Sched.Equalize.solve_makespan ~platform ~apps x0 in
     let iters = ref 0 in

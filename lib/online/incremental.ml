@@ -18,7 +18,6 @@ type t = {
          unknown) *)
   mutable prev_boundary : int;
   counters : counters;
-  ws : Sched.Workspace.t;
   (* Persistent warm-partition state: unboxed parallel arrays indexed by
      application position, plus the ratio-sorted permutation carried
      from the previous event.  Capacities grow amortised and never
@@ -48,7 +47,6 @@ let create () =
     prev_d = 0.;
     prev_boundary = 0;
     counters = fresh_counters ();
-    ws = Sched.Workspace.create ();
     pn = 0;
     ratio = [||];
     weight = [||];
@@ -70,21 +68,6 @@ let prev_demand t = t.prev_d
 let reseed t ~prev_k ~prev_d =
   t.prev_k <- prev_k;
   t.prev_d <- prev_d
-
-(* --- cold baseline: Algorithm 1 / MinRatio, with counted work ---------- *)
-
-(* MinRatio consumes no randomness; the builder's [rng] parameter is
-   satisfied by a shared dummy stream that is never advanced. *)
-let dummy_rng = lazy (Util.Rng.create 0)
-
-let cold_partition ?counters ~platform apps =
-  let ops =
-    match counters with
-    | Some c -> Some (fun m -> c.partition_ops <- c.partition_ops + m)
-    | None -> None
-  in
-  Sched.Partition_builder.build ?ops Sched.Partition_builder.Dominant
-    Sched.Choice.MinRatio ~rng:(Lazy.force dummy_rng) ~platform ~apps
 
 (* --- warm partition: maximal dominant suffix in ratio order ------------ *)
 
@@ -117,9 +100,9 @@ let warm_boundary t ~n =
   (* Repair the carried permutation into a permutation of 0..n-1: after
      an arrival the new position is appended, after a departure the
      stale positions are dropped and the survivors keep their relative
-     order.  (Positions shift across a mid-array removal, so the seed
-     can be imperfect for one event; the sort below restores exactness
-     regardless — the seed only buys adaptivity.) *)
+     order.  (Positions shift across a mid-array removal, so after a
+     cancel the seed is stale for every later position; the sort below
+     restores exactness regardless — the seed only buys adaptivity.) *)
   if t.pn <> n then begin
     let mark = t.mark in
     let j = ref 0 in
@@ -144,16 +127,15 @@ let warm_boundary t ~n =
     t.pn <- n
   end;
   (* Adaptive insertion sort by (ratio, index) — the total order used by
-     the cold eviction loop's MinRatio ties.  Consecutive events disturb
-     the order by progress-driven drift and single arrivals/departures,
-     so the carried permutation is nearly sorted and this pass is O(n +
-     inversions), versus the full sort-from-scratch (with boxed tuple
-     entries) the previous implementation paid per event.  A disordered
-     permutation — the first solve of a fresh or restored instance —
-     would make insertion quadratic (minutes at n = 1e5), so when the
-     total shift distance blows past a linear budget the pass bails to
-     [Array.sort] with the same comparator: the order is total, so the
-     resulting permutation — and everything downstream — is identical. *)
+     the cold eviction loop's MinRatio ties.  Progress drift and
+     arrivals leave the carried permutation nearly sorted, and then this
+     pass is O(n + inversions).  A disordered permutation — the first
+     solve of a fresh or restored instance, or any solve after cancels
+     shifted positions under the carried order — would make insertion
+     quadratic (minutes at n = 1e5), so when the total shift distance
+     blows past a linear budget the pass bails to [Array.sort] with the
+     same comparator: the order is total, so the resulting permutation —
+     and everything downstream — is identical. *)
   let budget = ref (8 * n) in
   let k = ref 1 in
   while !k < n && !budget >= 0 do
@@ -240,18 +222,6 @@ let m_solver_iters =
     "incremental.solver_iters"
 
 type mode = Warm
-
-let solve t ~platform ~apps =
-  if Array.length apps = 0 then invalid_arg "Incremental.solve: empty instance";
-  t.counters.resolves <- t.counters.resolves + 1;
-  let subset = cold_partition ~counters:t.counters ~platform apps in
-  let x = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
-  let iters = ref 0 in
-  let schedule, k =
-    Sched.Equalize.schedule_k ~iters ~ws:t.ws ~platform ~apps x
-  in
-  t.counters.solver_iters <- t.counters.solver_iters + !iters;
-  (schedule, k)
 
 (* --- columnar re-solve (the online hot path) --------------------------- *)
 

@@ -19,21 +19,27 @@
 
       The sort itself is warm too: ratios, weights, the sorted
       permutation and the suffix weight sums persist in {!t} as unboxed
-      parallel arrays, updated in place per event.  Consecutive events
-      leave the permutation nearly sorted (progress drifts ratios
-      smoothly; an arrival or departure perturbs one position), so an
-      adaptive insertion sort runs in [O(n + inversions)] with zero
-      allocation, where the previous implementation rebuilt and
-      [Array.sort]ed a boxed entry array on every event.
+      parallel arrays, updated in place per event, and an insertion
+      sort repairs the carried permutation with zero allocation.  It is
+      adaptive only while positions are stable: progress drifts ratios
+      smoothly and an arrival appends one position, so such events cost
+      [O(n + inversions)].  The carried order is by {e position},
+      though, and a cancel shifts every later position by one; under
+      cancel churn the carried permutation is unrelated to the ratios,
+      the insertion pass exhausts its linear shift budget and the
+      re-solve falls back to a full [Array.sort] — [O(n log n)] on
+      every re-solve of a cancel-heavy stream (all of them on
+      perfbench's [live-1e5]).  ROADMAP item 1 carries the order by
+      job instead.
 
     - {b Makespan.}  The previous [K], scaled by the change in residual
       parallel demand since the last solve, seeds a tight bracket that
       {!Sched.Equalize.solve_cols} refines by Illinois false position, in
       place of the cold bracket spanning the whole feasible range.
 
-    {!solve_state} is the service's one re-solve path; {!solve} keeps
-    the paper's cold pipeline only as the reference it is tested and
-    measured against.
+    {!solve_state} is the service's one re-solve path.  The paper's
+    cold pipeline, the reference it is tested and measured against,
+    lives in the test suite's oracle library.
 
     All work is counted: [partition_ops] increments per weight/ratio/
     dominance evaluation, [solver_iters] per makespan-objective
@@ -41,7 +47,7 @@
     With {!Obs.Probe.on}, every {!solve_state} also opens an
     [online.resolve] tracing span and feeds the [incremental.*] metrics
     (resolves, warm hits vs cold fallbacks, partition ops, solver
-    iterations); the baseline {!solve} only counts. *)
+    iterations). *)
 
 type counters = {
   mutable solver_iters : int;
@@ -50,7 +56,7 @@ type counters = {
   mutable partition_ops : int;
       (** Per-application weight/ratio evaluations and dominance checks
           inside partition construction. *)
-  mutable resolves : int;  (** Calls to {!solve} and {!solve_state}. *)
+  mutable resolves : int;  (** Calls to {!solve_state}. *)
   mutable warm_hits : int;
       (** {!solve_state} calls whose root-finder was seeded by a
           predicted makespan. *)
@@ -65,7 +71,7 @@ val fresh_counters : unit -> counters
 type t
 (** Warm state: the previous makespan and suffix-boundary position, the
     persistent partition arrays (ratios, weights, sorted permutation,
-    suffix sums), a solver {!Sched.Workspace.t}, and the {!counters}. *)
+    suffix sums), the columnar-solve scratch, and the {!counters}. *)
 
 val create : unit -> t
 (** Cold warm-state with {!fresh_counters}. *)
@@ -84,32 +90,9 @@ val reseed : t -> prev_k:float option -> prev_d:float -> unit
     scale).  The carried permutation is {e not} restored — it only buys
     sort adaptivity; the partition result is exact either way. *)
 
-val cold_partition :
-  ?counters:counters -> platform:Model.Platform.t ->
-  Model.App.t array -> Theory.Dominant.subset
-(** The cold baseline: [Partition_builder.build Dominant MinRatio]
-    itself, with the builder's [?ops] hook wired into [partition_ops] —
-    the accounting is the real eviction loop's, not a replica's.
-    (MinRatio consumes no randomness, so the required rng is a shared
-    dummy.) *)
-
 type mode = Warm
 (** The service's re-solve mode: [Warm] ({!solve_state}) is the only
     one. *)
-
-val solve :
-  t -> platform:Model.Platform.t -> apps:Model.App.t array ->
-  Model.Schedule.t * float
-(** The counted cold baseline that {!solve_state} is checked and
-    measured against (the per-re-solve test oracle and
-    [bench/main.exe online]; the service never calls it): one full
-    re-solve of the residual instance from scratch — {!cold_partition},
-    capped water-filling, then the paper's cold bisection — returning
-    the schedule and its equalised makespan, as
-    {!Sched.Equalize.schedule_k} does.  Neither reads nor writes the
-    warm state, but counts its work in the same {!counters} as
-    {!solve_state}.
-    @raise Invalid_argument on an empty instance. *)
 
 val solve_state :
   t -> ?pool:Exec.Pool.t -> ?shard_min:int -> elapsed:float ->
@@ -118,7 +101,7 @@ val solve_state :
     path.  Reads the live set through {!State.view} (no per-job
     [Model.App.t] materialization), computes the partition by the
     sorted-suffix repair described above (the same subset as
-    {!cold_partition}) and the capped water-filling of
+    Algorithm 1's MinRatio eviction loop) and the capped water-filling of
     {!Theory.Dominant.cache_allocation_capped}, roots the makespan with
     {!Sched.Equalize.solve_cols} (Illinois refinement) seeded by the
     {e predicted} residual makespan [prev_k * D / prev_D] (where [D] is
@@ -130,7 +113,7 @@ val solve_state :
     [n >= shard_min] (default 4096); every shard writes disjoint
     positions and all reductions stay sequential, so the result is
     bit-identical to the sequential path for any pool size and chunking
-    (QCheck-enforced under churn).  Counts work in the same {!counters}
-    as {!solve} and updates the warm state ([elapsed] ages the seed on
+    (QCheck-enforced under churn).  Counts its work in the
+    {!counters} and updates the warm state ([elapsed] ages the seed on
     the fallback path when no demand scale is carried yet).
     @raise Invalid_argument on an empty live set. *)

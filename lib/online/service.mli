@@ -11,8 +11,8 @@
     a static instance of the paper's problem and runs the
     DominantMinRatio pipeline through the warm-started
     {!Incremental.solve_state}, the service's one re-solve path.  (The
-    online tests check every such re-solve against
-    {!Incremental.solve}, the cold pipeline, on the same residual
+    online tests check every such re-solve against the cold pipeline
+    of the test suite's oracle library on the same residual
     instance.)
 
     {!run} replays a whole {!Workload_stream} through the same live core

@@ -38,7 +38,7 @@ let eval_chunk = 2048
 
 (* Solve [sum_i (1-s_i)/(K/c_i - s_i) = p] for [K] over the columns
    [s.(0 .. n-1)] and [costs.(0 .. n-1)] (either may be a larger
-   workspace buffer).  One core establishes the bracket — the
+   buffer).  One core establishes the bracket — the
    all-processors lower bound, then either a warm seed grown or shrunk
    by 1.25 or the cold bracket doubled from "one processor each" — and
    hands it to the refinement its entry point fixes: bisection
@@ -287,18 +287,13 @@ let solve_with_costs ?tol ?iters ~platform ~s ~costs ~n () =
     k
   end
 
-(* The [s] and [c_i] columns of an instance at cache fractions [x], in
-   workspace buffers when [ws] is given. *)
-let columns ?ws ~platform ~apps x =
+(* The [s] and [c_i] columns of an instance at cache fractions [x]. *)
+let columns ~platform ~apps x =
   let n = Array.length apps in
   if n = 0 then invalid_arg "Equalize: empty instance";
   if Array.length x <> n then
     invalid_arg "Equalize: apps and cache fractions must have the same length";
-  let s, costs =
-    match ws with
-    | Some w -> (Workspace.seq w n, Workspace.costs w n)
-    | None -> (Array.make n 0., Array.make n 0.)
-  in
+  let s = Array.make n 0. and costs = Array.make n 0. in
   for i = 0 to n - 1 do
     let app = apps.(i) in
     s.(i) <- app.Model.App.s;
@@ -306,8 +301,8 @@ let columns ?ws ~platform ~apps x =
   done;
   (s, costs)
 
-let solve_makespan ?tol ?iters ?ws ~platform ~apps x =
-  let s, costs = columns ?ws ~platform ~apps x in
+let solve_makespan ?tol ?iters ~platform ~apps x =
+  let s, costs = columns ~platform ~apps x in
   solve_with_costs ?tol ?iters ~platform ~s ~costs ~n:(Array.length apps) ()
 
 let procs_at ~platform ~apps ~x ~k =
@@ -318,13 +313,11 @@ let procs_at ~platform ~apps ~x ~k =
       if denom <= 0. then infinity else (1. -. app.s) /. denom)
     apps costs
 
-let schedule_k ?tol ?iters ?ws ~platform ~apps x =
+let schedule_k ?tol ?iters ~platform ~apps x =
   let n = Array.length apps in
-  let s, costs = columns ?ws ~platform ~apps x in
+  let s, costs = columns ~platform ~apps x in
   let k = solve_with_costs ?tol ?iters ~platform ~s ~costs ~n () in
-  let procs =
-    match ws with Some w -> Workspace.procs w n | None -> Array.make n 0.
-  in
+  let procs = Array.make n 0. in
   for i = 0 to n - 1 do
     let denom = (k /. costs.(i)) -. s.(i) in
     procs.(i) <- (if denom <= 0. then infinity else (1. -. s.(i)) /. denom)

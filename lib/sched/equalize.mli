@@ -30,20 +30,18 @@ val work_costs :
     @raise Invalid_argument on length mismatch. *)
 
 val solve_makespan :
-  ?tol:float -> ?iters:int ref -> ?ws:Workspace.t ->
+  ?tol:float -> ?iters:int ref ->
   platform:Model.Platform.t -> apps:Model.App.t array ->
   float array -> float
 (** The common completion time [K], by cold bisection (Section 5's
     binary search).  [tol] is the relative bracket tolerance (default
     1e-13).
 
-    A thin adapter over {!solve_with_costs}: it fills the [s_i] and
-    [c_i] columns from [apps] and the cache fractions.  [ws], when
-    given, hosts both columns in a reusable {!Workspace} instead of
-    fresh arrays; the root-finder itself is allocation-free (an
-    all-float state record, the demand loop inlined), so with a
-    workspace repeated solves allocate nothing per objective
-    evaluation.  The result is bit-identical with and without [ws].
+    A thin adapter over {!solve_with_costs}: it fills fresh [s_i] and
+    [c_i] columns from [apps] and the cache fractions.  The root-finder
+    itself is allocation-free (an all-float state record, the demand
+    loop inlined), so a solve allocates its two columns and nothing per
+    objective evaluation.
 
     [iters], when given, is incremented once per evaluation of the
     processor-demand objective.
@@ -119,10 +117,8 @@ val schedule :
     level, so completion times stay equal to within the same order). *)
 
 val schedule_k :
-  ?tol:float -> ?iters:int ref -> ?ws:Workspace.t ->
+  ?tol:float -> ?iters:int ref ->
   platform:Model.Platform.t -> apps:Model.App.t array ->
   float array -> Model.Schedule.t * float
 (** {!schedule} that also returns the solved makespan [K] and accepts
-    the [iters]/[ws] plumbing of {!solve_makespan}.  With [ws] the
-    column and processor-share intermediates live in workspace buffers;
-    only the returned schedule is allocated. *)
+    the [iters] counter of {!solve_makespan}. *)

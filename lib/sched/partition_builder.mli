@@ -26,6 +26,6 @@ val build :
     [ops] (meaningful for [Dominant], Algorithm 1) is called with the
     per-application scan counts of every eviction-loop iteration — one
     [m]-wide pass each for the weight sum, the dominance check and the
-    eviction choice over the [m] surviving members.  The online
-    incremental solver counts its cold baseline through this hook, so
-    the accounting is the real loop's, not a replica's. *)
+    eviction choice over the [m] surviving members.  The cold online
+    re-solve of the test suite's oracle library counts its work through
+    this hook, so the accounting is the real loop's, not a replica's. *)

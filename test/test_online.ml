@@ -5,7 +5,8 @@
    baselines, every warm re-solve of a service run commits the
    allocation the cold pipeline computes for the same residual instance,
    and the epoch-anchored service agrees with the flat per-event
-   integrator kept here as an oracle. *)
+   integrator.  The cold pipeline and the integrator are the oracle
+   library's ({!Oracle.Cold}, {!Oracle.Flat}). *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let test name f = Alcotest.test_case name `Quick f
@@ -115,31 +116,12 @@ let policy_should_resolve () =
 
 (* --- State ------------------------------------------------------------- *)
 
-(* Install [allocs] on [jobs], which must be the whole live set in
-   arrival order, through the state's one install path: a settling
-   {!Online.State.view}, then {!Online.State.apply_view} with the access
-   costs recomputed from the model (the solver derives the same values
-   during a re-solve).  Returns the migration count. *)
-let apply state jobs allocs =
-  let v = Online.State.view state in
-  let n = v.Online.State.v_n in
-  if n <> Array.length jobs || n <> Array.length allocs then
-    invalid_arg "apply: jobs must be the live set, one allocation each";
-  let procs = Array.map (fun (a : Model.Schedule.alloc) -> a.procs) allocs in
-  let cache = Array.map (fun (a : Model.Schedule.alloc) -> a.cache) allocs in
-  let access =
-    Array.map2
-      (fun j x -> Model.Exec_model.access_cost ~app:(Online.State.app j) ~platform x)
-      jobs cache
-  in
-  Online.State.apply_view state ~n ~procs ~cache ~access
-
 let state_integrates_progress () =
   let state = Online.State.create platform in
   let app = (synth ~seed:2 1).(0) in
   let job = Online.State.add state ~app in
   ignore
-    (apply state [| job |]
+    (Oracle.Flat.apply state [| job |]
        [| { Model.Schedule.procs = platform.Model.Platform.p; cache = 1. } |]);
   let exe =
     Model.Exec_model.exe ~app ~platform ~p:platform.Model.Platform.p ~x:1.
@@ -159,7 +141,7 @@ let state_lifecycle () =
   let jobs = Array.map (fun app -> Online.State.add state ~app) apps in
   Alcotest.(check int) "all queued" 3 (Online.State.queued state);
   ignore
-    (apply state (Online.State.live state)
+    (Oracle.Flat.apply state (Online.State.live state)
        [|
          { Model.Schedule.procs = 4.; cache = 0.5 };
          { Model.Schedule.procs = 4.; cache = 0.5 };
@@ -181,11 +163,11 @@ let state_counts_migrations () =
   let jobs = [| job |] in
   let alloc p x = [| { Model.Schedule.procs = p; cache = x } |] in
   Alcotest.(check int) "first allocation is free" 0
-    (apply state jobs (alloc 8. 0.5));
+    (Oracle.Flat.apply state jobs (alloc 8. 0.5));
   Alcotest.(check int) "unchanged allocation is free" 0
-    (apply state jobs (alloc 8. 0.5));
+    (Oracle.Flat.apply state jobs (alloc 8. 0.5));
   Alcotest.(check int) "a real change migrates" 1
-    (apply state jobs (alloc 6. 0.5));
+    (Oracle.Flat.apply state jobs (alloc 6. 0.5));
   Alcotest.(check int) "per-job count" 1 (Online.State.migrations job)
 
 let state_detects_oversubscription () =
@@ -193,7 +175,7 @@ let state_detects_oversubscription () =
   let apps = synth ~seed:5 2 in
   let jobs = Array.map (fun app -> Online.State.add state ~app) apps in
   ignore
-    (apply state jobs
+    (Oracle.Flat.apply state jobs
        [|
          { Model.Schedule.procs = platform.Model.Platform.p; cache = 0.7 };
          { Model.Schedule.procs = 1.; cache = 0.7 };
@@ -215,7 +197,7 @@ let qcheck_cold_partition_matches_builder =
           Sched.Choice.MinRatio
           ~rng:(Util.Rng.create 0) ~platform ~apps
       in
-      Online.Incremental.cold_partition ~platform apps = reference)
+      Oracle.Cold.partition ~platform apps = reference)
 
 (* The columns of an instance at cache fractions [x], as the online
    entry of the root-finder reads them. *)
@@ -234,7 +216,7 @@ let qcheck_warm_partition_matches_cold =
       ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
       let jobs = Online.State.live st in
       let cold =
-        Online.Incremental.cold_partition ~platform
+        Oracle.Cold.partition ~platform
           (Array.map Online.State.remaining_app jobs)
       in
       Array.for_all2 (fun j c -> Online.State.cache j > 0. = c) jobs cold)
@@ -246,7 +228,7 @@ let qcheck_equalize_warm_seed_same_root =
       triple (int_bound 10_000) (int_range 2 24) (float_range 0.25 4.))
     (fun (seed, n, scale) ->
       let apps = synth ~seed n in
-      let subset = Online.Incremental.cold_partition ~platform apps in
+      let subset = Oracle.Cold.partition ~platform apps in
       let x = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
       let cold = Sched.Equalize.solve_makespan ~platform ~apps x in
       let s, costs = columns apps x in
@@ -258,7 +240,7 @@ let qcheck_equalize_warm_seed_same_root =
 
 let warm_seed_saves_iterations () =
   let apps = synth ~seed:11 16 in
-  let subset = Online.Incremental.cold_partition ~platform apps in
+  let subset = Oracle.Cold.partition ~platform apps in
   let x = Theory.Dominant.cache_allocation_capped ~platform ~apps subset in
   let s, costs = columns apps x in
   let n = Array.length apps in
@@ -304,14 +286,14 @@ let replay ?pool ?shard_min ~policy ~on_resolve stream =
   Online.Service.drain live;
   (Online.Service.live_report live).Online.Service.metrics
 
-(* The cold oracle of one warm re-solve: [Online.Incremental.solve] on the
+(* The cold oracle of one warm re-solve: [Oracle.Cold.solve] on the
    residual instance the service just solved, compared with what the
    service installed — makespan, every processor share and cache
    fraction to 1e-9 relative, and the cached set exactly. *)
-let matches_cold_oracle inc lv =
+let matches_cold_oracle counters lv =
   let jobs = Online.State.live (Online.Service.live_state lv) in
   let apps = Array.map Online.State.remaining_app jobs in
-  let schedule, k = Online.Incremental.solve inc ~platform ~apps in
+  let schedule, k = Oracle.Cold.solve counters ~platform ~apps in
   let cold = schedule.Model.Schedule.allocs in
   (match Online.Service.last_makespan lv with
   | Some warm_k -> rel_close warm_k k
@@ -383,26 +365,25 @@ let qcheck_warm_matches_cold_oracle =
            ]))
     (fun (seed, policy) ->
       let stream = stream_of ~seed ~load:3. 12 in
-      let inc = Online.Incremental.create () in
+      let counters = Online.Incremental.fresh_counters () in
       let ok = ref true in
       let m =
         replay ~policy stream ~on_resolve:(fun lv ->
-            if not (matches_cold_oracle inc lv) then ok := false)
+            if not (matches_cold_oracle counters lv) then ok := false)
       in
       !ok
-      && m.Online.Metrics.resolves
-         = (Online.Incremental.counters inc).Online.Incremental.resolves
+      && m.Online.Metrics.resolves = counters.Online.Incremental.resolves
       && m.Online.Metrics.completed = 12)
 
 let warm_service_saves_solver_work () =
   let stream = stream_of ~seed:25 ~load:6. 60 in
-  let inc = Online.Incremental.create () in
+  let counters = Online.Incremental.fresh_counters () in
   let m =
     replay ~policy:Online.Policy.Every_event stream ~on_resolve:(fun lv ->
-        if not (matches_cold_oracle inc lv) then Alcotest.fail "cold oracle")
+        if not (matches_cold_oracle counters lv) then Alcotest.fail "cold oracle")
   in
   let warm = m.Online.Metrics.solver_iters in
-  let cold = (Online.Incremental.counters inc).Online.Incremental.solver_iters in
+  let cold = counters.Online.Incremental.solver_iters in
   Alcotest.(check bool)
     (Printf.sprintf "warm %d < cold %d" warm cold)
     true (warm < cold)
@@ -491,207 +472,7 @@ let qcheck_sharded_equals_sequential_service =
       let shd = Exec.Pool.with_pool ~jobs (fun pool -> run ~pool ()) in
       seq = shd)
 
-(* --- the flat per-event integrator, kept as an oracle ------------------- *)
-
-(* The service as it ran before progress was epoch-anchored: every event
-   integrates every running job's remaining fraction and the busy
-   integral over the elapsed step (the loop [State.advance] used to run),
-   and every event re-predicts the next completion as
-   [now + min (remaining * exe)].  Re-solves run the production warm
-   solver, on its own [Incremental.t], over a scratch state into which
-   the oracle's live jobs are injected at their current progress with
-   the clock on the anchor — so the solver sees bit-identical inputs
-   whenever the two sides' remaining fractions agree. *)
-type ojob = {
-  o_app : Model.App.t;
-  mutable o_rem : float;
-  mutable o_procs : float;
-  mutable o_cache : float;
-  mutable o_access : float;
-  mutable o_exe : float;
-  mutable o_live : bool;
-  mutable o_finish : float option;
-  mutable o_cancelled : bool;
-}
-
-type oracle = {
-  o_policy : Online.Policy.t;
-  o_inc : Online.Incremental.t;
-  mutable o_clock : float;
-  mutable o_busy : float;
-  mutable o_jobs : ojob list; (* id order, newest last *)
-  mutable o_since : int;
-  mutable o_last_solve : float;
-  mutable o_pred : float option;
-  mutable o_resolves : int;
-}
-
-let oracle_create policy =
-  {
-    o_policy = policy;
-    o_inc = Online.Incremental.create ();
-    o_clock = 0.;
-    o_busy = 0.;
-    o_jobs = [];
-    o_since = 0;
-    o_last_solve = 0.;
-    o_pred = None;
-    o_resolves = 0;
-  }
-
-let o_live o = List.filter (fun j -> j.o_live) o.o_jobs
-
-let o_advance o ~to_ =
-  let dt = to_ -. o.o_clock in
-  if dt > 0. then
-    List.iter
-      (fun j ->
-        if j.o_live && j.o_procs > 0. then begin
-          o.o_busy <- o.o_busy +. (j.o_procs *. dt);
-          if j.o_rem > 0. then j.o_rem <- Float.max 0. (j.o_rem -. (dt /. j.o_exe))
-        end)
-      o.o_jobs;
-  o.o_clock <- Float.max o.o_clock to_
-
-let o_resolve o =
-  let live = o_live o in
-  if live <> [] then begin
-    let st = Online.State.create platform in
-    Online.State.restore st ~clock:o.o_clock ~anchor:o.o_clock ~next_id:0 ~busy:0.;
-    let handles =
-      List.mapi
-        (fun i j ->
-          Online.State.inject st ~id:i ~app:j.o_app ~arrival:0. ~remaining:j.o_rem
-            ~procs:j.o_procs ~cache:j.o_cache ~allocated:false ~epoch:0 ~migrations:0)
-        live
-    in
-    ignore
-      (Online.Incremental.solve_state o.o_inc ~elapsed:(o.o_clock -. o.o_last_solve)
-         ~state:st ());
-    List.iter2
-      (fun j h ->
-        j.o_procs <- Online.State.procs h;
-        j.o_cache <- Online.State.cache h;
-        j.o_access <- Model.Exec_model.access_cost ~app:j.o_app ~platform j.o_cache;
-        j.o_exe <-
-          (if j.o_procs > 0. then
-             Model.Exec_model.exe ~app:j.o_app ~platform ~p:j.o_procs ~x:j.o_cache
-           else infinity))
-      live handles;
-    o.o_since <- 0;
-    o.o_last_solve <- o.o_clock;
-    o.o_resolves <- o.o_resolves + 1
-  end
-
-let o_decide o =
-  let live = o_live o in
-  if live <> [] then begin
-    let queued = List.exists (fun j -> j.o_procs = 0.) live in
-    let running = List.exists (fun j -> j.o_procs > 0.) live in
-    let degradation () =
-      let p = platform.Model.Platform.p in
-      let used = ref 0. and queued_w = ref 0. and total_w = ref 0. in
-      List.iter
-        (fun j ->
-          used := !used +. j.o_procs;
-          let wk = j.o_rem *. (j.o_app.Model.App.w *. j.o_access) in
-          total_w := !total_w +. wk;
-          if j.o_procs = 0. then queued_w := !queued_w +. wk)
-        live;
-      let frac = (p -. !used) /. p in
-      (if frac > 1e-9 then frac else 0.)
-      +. if !total_w > 0. then !queued_w /. !total_w else 0.
-    in
-    if queued && not running then o_resolve o
-    else if
-      Online.Policy.should_resolve o.o_policy ~events_pending:o.o_since ~degradation
-    then o_resolve o
-  end
-
-let o_predict o =
-  let m = ref infinity in
-  List.iter
-    (fun j ->
-      if j.o_live && j.o_procs > 0. then begin
-        let v = j.o_rem *. j.o_exe in
-        if v < !m then m := v
-      end)
-    o.o_jobs;
-  o.o_pred <- (if !m < infinity then Some (o.o_clock +. !m) else None)
-
-let o_after_event o =
-  o.o_since <- o.o_since + 1;
-  o_decide o;
-  o_predict o
-
-(* Fire every prediction due at or before [at], as the engine does. *)
-let rec o_fire o ~at =
-  match o.o_pred with
-  | Some tp when tp <= at ->
-    o_advance o ~to_:tp;
-    List.iter
-      (fun j ->
-        if j.o_live && j.o_procs > 0. && j.o_rem <= 1e-9 then begin
-          j.o_live <- false;
-          j.o_rem <- 0.;
-          j.o_procs <- 0.;
-          j.o_cache <- 0.;
-          j.o_finish <- Some tp
-        end)
-      o.o_jobs;
-    o_after_event o;
-    o_fire o ~at
-  | _ -> ()
-
-let o_submit o ~at app =
-  let at = Float.max at o.o_clock in
-  o_fire o ~at;
-  o_advance o ~to_:at;
-  o.o_jobs <-
-    o.o_jobs
-    @ [
-        {
-          o_app = app;
-          o_rem = 1.;
-          o_procs = 0.;
-          o_cache = 0.;
-          o_access = Model.Exec_model.access_cost ~app ~platform 0.;
-          o_exe = infinity;
-          o_live = true;
-          o_finish = None;
-          o_cancelled = false;
-        };
-      ];
-  o_after_event o
-
-let o_cancel o ~at ~id =
-  let at = Float.max at o.o_clock in
-  o_fire o ~at;
-  match List.nth_opt o.o_jobs id with
-  | Some j when j.o_live ->
-    o_advance o ~to_:at;
-    j.o_live <- false;
-    j.o_procs <- 0.;
-    j.o_cache <- 0.;
-    j.o_cancelled <- true;
-    o_after_event o
-  | _ -> ()
-
-let o_ping o ~at =
-  let at = Float.max at o.o_clock in
-  o_fire o ~at;
-  o_advance o ~to_:at
-
-let o_drain o =
-  let continue_ = ref true in
-  while !continue_ do
-    o_fire o ~at:infinity;
-    if o_live o = [] then continue_ := false
-    else begin
-      o_resolve o;
-      o_predict o
-    end
-  done
+(* --- the flat per-event integrator as an oracle -------------------------- *)
 
 type op = Submit of int | Cancel of int | Ping
 
@@ -727,10 +508,10 @@ let agrees_with_oracle ~exact ~seed ~policy ops =
   in
   let config = { Online.Service.default_config with policy } in
   let lv = Online.Service.live_create ~config ~platform () in
-  let o = oracle_create policy in
+  let o = Oracle.Flat.create ~platform policy in
   let same a b = if exact then a = b else rel_close a b in
   let check what =
-    let admitted = List.length o.o_jobs in
+    let admitted = List.length o.Oracle.Flat.o_jobs in
     Online.Service.live_epoch lv = o.o_resolves
     && List.for_all
          (fun id ->
@@ -739,7 +520,7 @@ let agrees_with_oracle ~exact ~seed ~policy ops =
            | Some j ->
              let oj = List.nth o.o_jobs id in
              let ok =
-               same (Online.State.remaining j) oj.o_rem
+               same (Online.State.remaining j) oj.Oracle.Flat.o_rem
                && same (Online.State.procs j) oj.o_procs
                && same (Online.State.cache j) oj.o_cache
                && Option.equal same (Online.State.finish j) oj.o_finish
@@ -761,20 +542,20 @@ let agrees_with_oracle ~exact ~seed ~policy ops =
       (match op with
       | Submit i ->
         ignore (Online.Service.submit lv ~at:!t apps.(i) : Online.State.job);
-        o_submit o ~at:!t apps.(i)
+        Oracle.Flat.submit o ~at:!t apps.(i)
       | Cancel i when admitted > 0 ->
         let id = i mod admitted in
         ignore (Online.Service.cancel lv ~at:!t ~id : bool);
-        o_cancel o ~at:!t ~id
+        Oracle.Flat.cancel o ~at:!t ~id
       | Cancel _ -> ()
       | Ping ->
         Online.Service.advance lv ~to_:!t;
-        o_ping o ~at:!t);
+        Oracle.Flat.ping o ~at:!t);
       check (op_print op))
     ops
   && begin
        Online.Service.drain lv;
-       o_drain o;
+       Oracle.Flat.drain o;
        let m = (Online.Service.live_report lv).Online.Service.metrics in
        check "drain"
        && rel_close m.Online.Metrics.utilization

@@ -1,9 +1,6 @@
 (* Properties guarding the solver hot-path overhaul.
 
    The contracts under test, in decreasing strictness:
-   - workspace reuse is {e bit-identical} to fresh allocation (same
-     root-finder core, different buffer provenance) — for
-     [Equalize.solve_makespan] and [Equalize.schedule_k];
    - the online entry [Equalize.solve_cols] (Illinois, warm or cold)
      finds the paper entry's bisection root, on both sides of the
      2048-wide demand chunk;
@@ -15,8 +12,8 @@
      equals the cold eviction loop exactly across arbitrary
      arrival/departure/progress histories (not just on i.i.d. instances:
      the carried permutation must survive churn);
-   - the optimized refinement tracks the kept naive reference and never
-     degrades its starting point;
+   - the optimized refinement tracks the oracle library's naive
+     reference and never degrades its starting point;
    - an online event that neither re-solves nor completes a job walks
      the live set zero times ([State.sweeps] counts every walk). *)
 
@@ -34,36 +31,12 @@ let random_apps ~seed n =
 (* A plausible allocation for an instance: Theorem 3 capped fractions on
    the dominant partition (what the schedulers actually bisect at). *)
 let alloc apps =
-  let subset = Online.Incremental.cold_partition ~platform apps in
+  let subset = Oracle.Cold.partition ~platform apps in
   Theory.Dominant.cache_allocation_capped ~platform ~apps subset
 
 let seed_and_n = QCheck.(pair (int_bound 10_000) (int_range 1 40))
 
-(* --- workspace reuse is bit-identical ---------------------------------- *)
-
-let qcheck_ws_solve_bit_identical =
-  let ws = Sched.Workspace.create () in
-  QCheck.Test.make ~count:60 ~name:"solve_makespan with ws == without, bitwise"
-    seed_and_n
-    (fun (seed, n) ->
-      let apps = synth ~seed n in
-      let x = alloc apps in
-      let k_fresh = Sched.Equalize.solve_makespan ~platform ~apps x in
-      (* Reusing one workspace across cases also exercises dirty-buffer
-         reuse: leftovers from the previous instance must not leak in. *)
-      let k_ws = Sched.Equalize.solve_makespan ~ws ~platform ~apps x in
-      k_fresh = k_ws)
-
-let qcheck_ws_schedule_bit_identical =
-  let ws = Sched.Workspace.create () in
-  QCheck.Test.make ~count:60 ~name:"schedule_k with ws == without, bitwise"
-    seed_and_n
-    (fun (seed, n) ->
-      let apps = synth ~seed n in
-      let x = alloc apps in
-      let s_fresh, k_fresh = Sched.Equalize.schedule_k ~platform ~apps x in
-      let s_ws, k_ws = Sched.Equalize.schedule_k ~ws ~platform ~apps x in
-      k_fresh = k_ws && s_fresh.Model.Schedule.allocs = s_ws.Model.Schedule.allocs)
+(* --- the paper entry counts its work ----------------------------------- *)
 
 let solve_counts_iters () =
   let apps = synth ~seed:11 12 in
@@ -136,7 +109,7 @@ let qcheck_kernel_derivative =
       let kern = Model.Kernel.create ~platform apps in
       Array.to_list (Array.mapi (fun i app -> (i, app)) apps)
       |> List.for_all (fun (i, app) ->
-             let direct = Sched.Refine.cost_derivative ~platform app x in
+             let direct = Oracle.Refine_reference.cost_derivative ~platform app x in
              let k = Model.Kernel.cost_derivative kern i x in
              rel_err direct k <= 1e-12))
 
@@ -159,7 +132,7 @@ let solve_state_matches_cold inc st =
   ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
   let jobs = Online.State.live st in
   let cold =
-    Online.Incremental.cold_partition ~platform
+    Oracle.Cold.partition ~platform
       (Array.map Online.State.remaining_app jobs)
   in
   Array.for_all2 (fun j c -> Online.State.cache j > 0. = c) jobs cold
@@ -200,13 +173,13 @@ let qcheck_warm_partition_under_churn =
 let cold_partition_counts_ops () =
   let apps = random_apps ~seed:13 25 in
   let c = Online.Incremental.fresh_counters () in
-  let subset = Online.Incremental.cold_partition ~counters:c ~platform apps in
+  let subset = Oracle.Cold.partition ~counters:c ~platform apps in
   Alcotest.(check bool) "ops counted" true (c.Online.Incremental.partition_ops > 0);
   (* The hook observes the real builder: same subset as the unhooked call. *)
   Alcotest.(check bool) "same subset" true
-    (subset = Online.Incremental.cold_partition ~platform apps)
+    (subset = Oracle.Cold.partition ~platform apps)
 
-(* --- refinement vs the kept reference ---------------------------------- *)
+(* --- refinement vs the oracle library's reference ----------------------- *)
 
 let qcheck_refine_tracks_reference =
   QCheck.Test.make ~count:25 ~name:"refine tracks refine_reference (1e-2 rel)"
@@ -215,21 +188,20 @@ let qcheck_refine_tracks_reference =
       let apps = random_apps ~seed n in
       let x0 = alloc apps in
       let opt = Sched.Refine.refine ~platform ~apps ~x0 () in
-      let ref_ = Sched.Refine.refine_reference ~platform ~apps ~x0 () in
+      let ref_ = Oracle.Refine_reference.refine ~platform ~apps ~x0 () in
       (* Different roundings can stop the two fixed points at different
          iterates, but both descend from the same start to the same
          basin: makespans agree to far better than the model error. *)
       rel_err opt.Sched.Refine.makespan ref_.Sched.Refine.makespan <= 1e-2)
 
 let qcheck_refine_never_degrades =
-  let ws = Sched.Workspace.create () in
   QCheck.Test.make ~count:40 ~name:"refine never degrades its start" seed_and_n
     (fun (seed, n) ->
       let apps = random_apps ~seed n in
       let x0 = alloc apps in
       let k0 = Sched.Equalize.solve_makespan ~platform ~apps x0 in
       let iters = ref 0 in
-      let r = Sched.Refine.refine ~iters ~ws ~platform ~apps ~x0 () in
+      let r = Sched.Refine.refine ~iters ~platform ~apps ~x0 () in
       !iters > 0
       && r.Sched.Refine.improvement >= 0.
       && r.Sched.Refine.makespan <= k0 *. (1. +. 1e-12))
@@ -296,12 +268,9 @@ let plain_events_sweep_nothing () =
 let () =
   Alcotest.run "perf"
     [
-      ( "workspace",
-        [
-          qtest qcheck_ws_solve_bit_identical;
-          qtest qcheck_ws_schedule_bit_identical;
-          test "solve_makespan counts objective evaluations" solve_counts_iters;
-        ] );
+      ( "equalize",
+        [ test "solve_makespan counts objective evaluations" solve_counts_iters ]
+      );
       ("illinois", [ qtest qcheck_cols_matches_bisection ]);
       ( "kernel",
         [

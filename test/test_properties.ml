@@ -253,15 +253,6 @@ let partition_isolated_random_splits =
       && Cachesim.Partition.tenant_misses shared 1
          = Cachesim.Set_assoc.run ~sets ~ways:(ways - ways0) t1)
 
-let plru_equals_lru_two_ways =
-  QCheck.Test.make ~name:"tree-PLRU is exact LRU at 2 ways" ~count:40
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let rng = Util.Rng.create seed in
-      let trace = Cachesim.Trace.zipf ~rng ~blocks:120 ~length:1500 () in
-      Cachesim.Plru.run ~sets:16 ~ways:2 trace
-      = Cachesim.Set_assoc.run ~sets:16 ~ways:2 trace)
-
 let ucp_never_worse_than_any_split =
   (* On concave utility curves (diminishing returns) the greedy lookahead
      is provably optimal, so it must beat any random feasible split.  (On
@@ -328,16 +319,6 @@ let redistribution_never_slower =
             .Simulator.Coschedule_sim.makespan
         in
         wc <= base *. (1. +. 1e-9))
-
-let periodic_consistency =
-  QCheck.Test.make ~name:"periodic pipeline: late iff makespan > period"
-    ~count:100
-    QCheck.(pair (float_range 1. 100.) (float_range 1. 100.))
-    (fun (period, makespan) ->
-      let config = { Simulator.Periodic.period; batches = 10; jitter = None } in
-      let o = Simulator.Periodic.run config ~makespan in
-      if makespan <= period then o.Simulator.Periodic.late_fraction = 0.
-      else o.Simulator.Periodic.late_fraction > 0.)
 
 (* --- Campaign invariants --------------------------------------------------- *)
 
@@ -406,14 +387,12 @@ let () =
         [
           qtest lru_monotone_in_capacity;
           qtest partition_isolated_random_splits;
-          qtest plru_equals_lru_two_ways;
           qtest ucp_never_worse_than_any_split;
         ] );
       ( "simulator",
         [
           qtest des_matches_model_every_policy;
           qtest redistribution_never_slower;
-          qtest periodic_consistency;
           qtest general_amdahl_equivalence;
         ] );
       ("campaign", [ qtest campaign_jobs_invariant ]);

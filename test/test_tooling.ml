@@ -1,5 +1,5 @@
 (* Tests for the tooling extensions: Model.Instance_io, Theory.Bounds,
-   Simulator.Periodic, and the gnuplot export of Experiments.Report. *)
+   and the gnuplot export of Experiments.Report. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close ?(eps = 1e-6) msg a b = Alcotest.(check (float eps)) msg a b
@@ -186,90 +186,6 @@ let bounds_empty_rejected () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Periodic ----------------------------------------------------------------- *)
-
-let periodic_feasible_never_late () =
-  let config = { Simulator.Periodic.period = 10.; batches = 20; jitter = None } in
-  let o = Simulator.Periodic.run config ~makespan:8. in
-  check_float "no late batches" 0. o.Simulator.Periodic.late_fraction;
-  check_float "no backlog" 0. o.Simulator.Periodic.final_backlog;
-  Alcotest.(check int) "all batches recorded" 20
-    (List.length o.Simulator.Periodic.history)
-
-let periodic_infeasible_diverges () =
-  let config = { Simulator.Periodic.period = 10.; batches = 30; jitter = None } in
-  let o = Simulator.Periodic.run config ~makespan:12. in
-  check_float "all late" 1. o.Simulator.Periodic.late_fraction;
-  (* Backlog grows by 2 per batch: after 30 batches, lateness = 2 * 30. *)
-  check_close ~eps:1e-9 "linear divergence" 60. o.Simulator.Periodic.final_backlog
-
-let periodic_exact_boundary () =
-  let config = { Simulator.Periodic.period = 10.; batches = 5; jitter = None } in
-  let o = Simulator.Periodic.run config ~makespan:10. in
-  check_float "boundary is feasible" 0. o.Simulator.Periodic.late_fraction
-
-let periodic_batch_timing () =
-  let config = { Simulator.Periodic.period = 10.; batches = 3; jitter = None } in
-  let o = Simulator.Periodic.run config ~makespan:12. in
-  match o.Simulator.Periodic.history with
-  | [ b0; b1; b2 ] ->
-    check_float "b0 starts at arrival" 0. b0.Simulator.Periodic.start;
-    check_float "b1 queued behind b0" 12. b1.Simulator.Periodic.start;
-    check_float "b2 queued further" 24. b2.Simulator.Periodic.start;
-    check_float "b2 lateness" 6. b2.Simulator.Periodic.lateness
-  | _ -> Alcotest.fail "expected 3 batches"
-
-let periodic_jitter_reproducible () =
-  let mk seed =
-    {
-      Simulator.Periodic.period = 10.;
-      batches = 50;
-      jitter = Some (Util.Rng.create seed, 0.2);
-    }
-  in
-  let a = Simulator.Periodic.run (mk 1) ~makespan:9. in
-  let b = Simulator.Periodic.run (mk 1) ~makespan:9. in
-  check_float "same seed, same outcome" a.Simulator.Periodic.max_lateness
-    b.Simulator.Periodic.max_lateness
-
-let periodic_sustainable () =
-  let config = { Simulator.Periodic.period = 10.; batches = 10; jitter = None } in
-  Alcotest.(check bool) "fits" true (Simulator.Periodic.sustainable config ~makespan:9.);
-  Alcotest.(check bool) "does not fit" false
-    (Simulator.Periodic.sustainable config ~makespan:11.)
-
-let periodic_validation () =
-  let config = { Simulator.Periodic.period = 0.; batches = 1; jitter = None } in
-  Alcotest.(check bool) "period 0" true
-    (try
-       ignore (Simulator.Periodic.run config ~makespan:1.);
-       false
-     with Invalid_argument _ -> true)
-
-let periodic_capacity_search () =
-  let gen n =
-    Model.Workload.generate ~rng:(Util.Rng.create 42) Model.Workload.NpbSynth n
-  in
-  let rng = Util.Rng.create 7 in
-  let policy = Sched.Heuristics.dominant_min_ratio in
-  (* Pick a period between the makespan at n=4 and n=64 so the search has
-     a nontrivial answer. *)
-  let m4 = Sched.Heuristics.makespan ~rng:(Util.Rng.copy rng) ~platform ~apps:(gen 4) policy in
-  let m64 = Sched.Heuristics.makespan ~rng:(Util.Rng.copy rng) ~platform ~apps:(gen 64) policy in
-  let period = (m4 +. m64) /. 2. in
-  let n =
-    Simulator.Periodic.max_sustainable_apps ~rng ~platform ~gen ~policy ~period
-      ~max_n:64
-  in
-  Alcotest.(check bool) "found interior capacity" true (n >= 4 && n < 64);
-  (* The found n fits; n+1 does not necessarily (makespan is monotone on
-     average, the generator redraws) — check the fit side only. *)
-  let fits =
-    Sched.Heuristics.makespan ~rng:(Util.Rng.copy rng) ~platform ~apps:(gen n) policy
-    <= period
-  in
-  Alcotest.(check bool) "capacity fits the period" true fits
-
 (* --- Report gnuplot export ------------------------------------------------- *)
 
 let sample_figure () =
@@ -321,17 +237,6 @@ let () =
           test "gap at least 1" bounds_gap_at_least_one;
           test "gap 1 without misses" bounds_gap_one_without_misses;
           test "empty rejected" bounds_empty_rejected;
-        ] );
-      ( "periodic",
-        [
-          test "feasible pipeline never late" periodic_feasible_never_late;
-          test "infeasible pipeline diverges linearly" periodic_infeasible_diverges;
-          test "exact boundary feasible" periodic_exact_boundary;
-          test "batch timing" periodic_batch_timing;
-          test "jitter reproducible" periodic_jitter_reproducible;
-          test "sustainable predicate" periodic_sustainable;
-          test "validation" periodic_validation;
-          test "capacity binary search" periodic_capacity_search;
         ] );
       ( "report_export",
         [ test "dat format" dat_format; test "gnuplot script" gnuplot_script ] );
