@@ -532,9 +532,11 @@ let stats cfg =
    policy.  The warm run is timed alone for events/sec and reports the
    live-set passes its state made per event ([State.sweeps]: re-solves,
    completion sweeps and threshold's degradation estimate; plain events
-   walk nothing); a second, identical run hands the residual instance
-   of each of its re-solves to [Oracle.Cold.solve], the cold
-   baseline, timing and counting only those solves.  The warm-vs-cold
+   walk nothing) and the warm sort's insertion shifts and from-scratch
+   sorts ([Incremental.sort_shifts], [sort_fallbacks]); a second,
+   identical run hands the residual instance of each of its re-solves
+   to [Oracle.Cold.solve], the cold baseline, timing and counting only
+   those solves.  The warm-vs-cold
    solver-iteration speedup is a count, so its >= 1.5 gate always
    holds; the wall-clock gate (warm events/sec >= 0.9x cold) holds
    under --guard.  [stats_json] is the stats section's record when it
@@ -592,6 +594,7 @@ let online cfg stats_json =
         let sweeps =
           float_of_int (Online.State.sweeps (Online.Service.live_state live)) /. events
         in
+        let sort = Online.Service.live_counters live in
         let eps_warm = events /. Float.max dt 1e-9 in
         let cold, dt_cold = cold_baseline config in
         let eps_cold = events /. Float.max dt_cold 1e-9 in
@@ -608,17 +611,17 @@ let online cfg stats_json =
              eps_cold);
         gate ~enforced:true (speedup >= 1.5)
           (Printf.sprintf "%s: warm_vs_cold_iter_speedup %.2f < 1.5" name speedup);
-        (name, warm, cold, eps_warm, eps_cold, speedup, sweeps))
+        (name, warm, cold, eps_warm, eps_cold, speedup, sweeps, sort))
       Online.Policy.defaults
   in
   print_endline "== online service (100-app Poisson stream, load 8) ==";
   table
     [
       "policy"; "events/s(warm)"; "iters(warm)"; "iters(cold)"; "speedup"; "migrations";
-      "sweeps/event";
+      "sweeps/event"; "sort shifts"; "sort fallbacks";
     ]
     (List.map
-       (fun (name, warm, cold, eps_warm, _, speedup, sweeps) ->
+       (fun (name, warm, cold, eps_warm, _, speedup, sweeps, sort) ->
          [
            name;
            Printf.sprintf "%.0f" eps_warm;
@@ -627,9 +630,11 @@ let online cfg stats_json =
            Printf.sprintf "%.3f" speedup;
            string_of_int warm.Online.Metrics.migrations;
            Printf.sprintf "%.3f" sweeps;
+           string_of_int sort.Online.Incremental.sort_shifts;
+           string_of_int sort.Online.Incremental.sort_fallbacks;
          ])
        results);
-  let policy (name, warm, cold, eps_warm, eps_cold, speedup, sweeps) =
+  let policy (name, warm, cold, eps_warm, eps_cold, speedup, sweeps, _) =
     obj
       [
         ("policy", str name);

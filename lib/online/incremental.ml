@@ -4,11 +4,13 @@ type counters = {
   mutable resolves : int;
   mutable warm_hits : int;
   mutable cold_fallbacks : int;
+  mutable sort_shifts : int;
+  mutable sort_fallbacks : int;
 }
 
 let fresh_counters () =
   { solver_iters = 0; partition_ops = 0; resolves = 0; warm_hits = 0;
-    cold_fallbacks = 0 }
+    cold_fallbacks = 0; sort_shifts = 0; sort_fallbacks = 0 }
 
 type t = {
   mutable prev_k : float option;
@@ -18,17 +20,22 @@ type t = {
          unknown) *)
   mutable prev_boundary : int;
   counters : counters;
-  (* Persistent warm-partition state: unboxed parallel arrays indexed by
-     application position, plus the ratio-sorted permutation carried
-     from the previous event.  Capacities grow amortised and never
-     shrink; [pn] is the instance size at the last warm solve (0 when
-     the state is cold). *)
+  (* Persistent warm-partition state.  [ratio], [weight], [order] and
+     [suffix] are position-indexed scratch for the current solve; [carry]
+     holds the previous solve's sorted order as (slot, generation) keys
+     (see [key]) — one per job, so the carry survives departures
+     anywhere in the arrival order and never hands a recycled slot its
+     previous owner's place.  [pn] is the carried order's length (0 when
+     the state is cold); [pos_of] is slot-indexed.  Capacities grow
+     amortised, never shrink, and keep the carried order across
+     growth. *)
   mutable pn : int;
   mutable ratio : float array;
   mutable weight : float array;
   mutable order : int array;
   mutable suffix : float array;
-  mutable mark : bool array;
+  mutable carry : int array;
+  mutable pos_of : int array;
   (* Columnar-solve scratch, position-indexed (see [solve_state]): cache
      fractions, sequential fractions, residual work costs, access costs,
      processor shares, water-filling shares and the active set. *)
@@ -52,7 +59,8 @@ let create () =
     weight = [||];
     order = [||];
     suffix = [||];
-    mark = [||];
+    carry = [||];
+    pos_of = [||];
     xbuf = [||];
     sbuf = [||];
     cbuf = [||];
@@ -69,6 +77,8 @@ let reseed t ~prev_k ~prev_d =
   t.prev_k <- prev_k;
   t.prev_d <- prev_d
 
+let sorted_positions t = Array.init t.pn (fun k -> (t.order.(k), t.ratio.(t.order.(k))))
+
 (* --- warm partition: maximal dominant suffix in ratio order ------------ *)
 
 let ensure_capacity t n =
@@ -78,67 +88,82 @@ let ensure_capacity t n =
     t.weight <- Array.make cap 0.;
     t.order <- Array.make cap 0;
     t.suffix <- Array.make (cap + 1) 0.;
-    t.mark <- Array.make cap false;
+    let carry = Array.make cap 0 in
+    Array.blit t.carry 0 carry 0 t.pn;
+    t.carry <- carry;
     t.xbuf <- Array.make cap 0.;
     t.sbuf <- Array.make cap 0.;
     t.cbuf <- Array.make cap 0.;
     t.abuf <- Array.make cap 0.;
     t.pbuf <- Array.make cap 0.;
     t.shares <- Array.make cap 0.;
-    t.actv <- Array.make cap false;
-    t.pn <- 0 (* the old permutation did not survive the regrowth *)
+    t.actv <- Array.make cap false
   end
 
 (* Shared tail of the warm partition: given [t.ratio] and [t.weight]
-   filled for positions 0..n-1, repair the carried permutation, restore
-   sortedness, rebuild suffix sums and walk the dominant boundary.
-   Returns the boundary [b]: sorted positions [b..n-1] are the maximal
-   dominant suffix. *)
-let warm_boundary t ~n =
+   filled for positions 0..n-1 of the view whose position-to-slot map is
+   [slot] and whose per-slot generations are [gen], rebuild the sorted
+   order from the carried one, rebuild suffix sums and walk the dominant
+   boundary.  Returns the boundary [b]: sorted positions [b..n-1] are the
+   maximal dominant suffix.
+
+   The order is the unique sort by (ratio, position) — the total order
+   of the cold eviction loop's MinRatio ties — so however it is reached,
+   everything downstream is the same. *)
+(* A job's (slot, generation) pair as one int: state slots stay below
+   2^31, and a slot would need 2^32 admissions to wrap its generation. *)
+let slot_bits = 31
+let key ~slot ~gen = (gen lsl slot_bits) lor slot
+
+let warm_boundary t ~n ~slot ~gen =
   let c = t.counters in
   let ratio = t.ratio and weightv = t.weight and order = t.order in
-  (* Repair the carried permutation into a permutation of 0..n-1: after
-     an arrival the new position is appended, after a departure the
-     stale positions are dropped and the survivors keep their relative
-     order.  (Positions shift across a mid-array removal, so after a
-     cancel the seed is stale for every later position; the sort below
-     restores exactness regardless — the seed only buys adaptivity.) *)
-  if t.pn <> n then begin
-    let mark = t.mark in
-    let j = ref 0 in
-    for k = 0 to t.pn - 1 do
-      let v = order.(k) in
-      if v < n && not mark.(v) then begin
-        order.(!j) <- v;
-        (* writes trail reads: [!j <= k] always *)
-        mark.(v) <- true;
-        incr j
+  let cmp u v =
+    match Float.compare ratio.(u) ratio.(v) with
+    | 0 -> Int.compare u v
+    | cmp -> cmp
+  in
+  (* Survivors: the carried entries whose job is still live, at their
+     current positions, in carried order.  Slot [s] is live at
+     [p = pos_of.(s)] iff [p < n && slot.(p) = s] (stale entries of
+     [pos_of] fail the test, so it is never cleared); a recycled slot
+     has a new generation and drops out.  A survivor's [pos_of] is then
+     set to [n], so the positions that still map to themselves are the
+     arrivals. *)
+  if Array.length t.pos_of < Array.length gen then
+    t.pos_of <- Array.make (Array.length gen) 0;
+  let pos_of = t.pos_of and carry = t.carry in
+  for i = 0 to n - 1 do
+    pos_of.(slot.(i)) <- i
+  done;
+  let m = ref 0 in
+  for k = 0 to t.pn - 1 do
+    let s = carry.(k) land ((1 lsl slot_bits) - 1) in
+    if s < Array.length gen && carry.(k) = key ~slot:s ~gen:gen.(s) then begin
+      let p = pos_of.(s) in
+      if p < n && slot.(p) = s then begin
+        order.(!m) <- p;
+        pos_of.(s) <- n;
+        incr m
       end
-    done;
-    for v = 0 to n - 1 do
-      if not mark.(v) then begin
-        order.(!j) <- v;
-        incr j
-      end
-    done;
-    for v = 0 to n - 1 do
-      mark.(v) <- false
-    done;
-    t.pn <- n
-  end;
-  (* Adaptive insertion sort by (ratio, index) — the total order used by
-     the cold eviction loop's MinRatio ties.  Progress drift and
-     arrivals leave the carried permutation nearly sorted, and then this
-     pass is O(n + inversions).  A disordered permutation — the first
-     solve of a fresh or restored instance, or any solve after cancels
-     shifted positions under the carried order — would make insertion
-     quadratic (minutes at n = 1e5), so when the total shift distance
-     blows past a linear budget the pass bails to [Array.sort] with the
-     same comparator: the order is total, so the resulting permutation —
-     and everything downstream — is identical. *)
+    end
+  done;
+  let m = !m in
+  (* Arrivals follow in [order.(m..n-1)]. *)
+  let a = ref m in
+  for i = 0 to n - 1 do
+    if pos_of.(slot.(i)) = i then begin
+      order.(!a) <- i;
+      incr a
+    end
+  done;
+  (* Progress drifts the survivors' ratios smoothly, so their carried
+     order is nearly sorted: an adaptive insertion sort restores it in
+     O(m + inversions) shifts.  Should the shift distance pass a linear
+     budget the pass bails to [Array.sort] with the same comparator. *)
   let budget = ref (8 * n) in
   let k = ref 1 in
-  while !k < n && !budget >= 0 do
+  while !k < m && !budget >= 0 do
     let v = order.(!k) in
     let rv = ratio.(v) in
     let j = ref (!k - 1) in
@@ -156,28 +181,51 @@ let warm_boundary t ~n =
     order.(!j + 1) <- v;
     incr k
   done;
+  c.sort_shifts <- c.sort_shifts + ((8 * n) - !budget);
   if !budget < 0 then begin
-    let cmp u v =
-      match Float.compare ratio.(u) ratio.(v) with
-      | 0 -> Int.compare u v
-      | cmp -> cmp
-    in
-    (* [Array.sort] sorts a whole array; [order] is only meaningful on
-       positions 0..n-1, so sort a copy of the slice when the scratch is
-       larger. *)
-    if Array.length order = n then Array.sort cmp order
-    else begin
-      let slice = Array.sub order 0 n in
-      Array.sort cmp slice;
-      Array.blit slice 0 order 0 n
-    end
+    let head = Array.sub order 0 m in
+    Array.sort cmp head;
+    Array.blit head 0 order 0 m
   end;
-  (* suffix.(k) = sum of weights of sorted entries k..n-1 *)
+  (* A sort from scratch: the insertion pass bailed, or nothing was
+     carried (the first solve after create or restore). *)
+  if !budget < 0 || (m = 0 && n > 1) then
+    c.sort_fallbacks <- c.sort_fallbacks + 1;
+  (* Sort the few arrivals, then merge them into the survivors from the
+     back: one O(n) pass that never overwrites an unread survivor. *)
+  let arr = Array.sub order m (n - m) in
+  Array.sort cmp arr;
+  let i = ref (m - 1) and j = ref (n - m - 1) and w = ref (n - 1) in
+  while !j >= 0 do
+    let v = arr.(!j) in
+    let take_survivor =
+      !i >= 0
+      &&
+      let u = order.(!i) in
+      let ru = ratio.(u) and rv = ratio.(v) in
+      ru > rv || (ru = rv && u > v)
+    in
+    if take_survivor then begin
+      order.(!w) <- order.(!i);
+      decr i
+    end
+    else begin
+      order.(!w) <- v;
+      decr j
+    end;
+    decr w
+  done;
+  (* suffix.(k) = sum of weights of sorted entries k..n-1; the same pass
+     records the order by job for the next solve. *)
   let suffix = t.suffix in
   suffix.(n) <- 0.;
   for k = n - 1 downto 0 do
-    suffix.(k) <- suffix.(k + 1) +. weightv.(order.(k))
+    let p = order.(k) in
+    suffix.(k) <- suffix.(k + 1) +. weightv.(p);
+    let s = slot.(p) in
+    carry.(k) <- key ~slot:s ~gen:gen.(s)
   done;
+  t.pn <- n;
   c.partition_ops <- c.partition_ops + n;
   (* The suffix starting at k is dominant iff its minimum-ratio member —
      the sorted entry at k itself — beats the suffix weight sum;
@@ -221,6 +269,14 @@ let m_solver_iters =
   Obs.Metrics.counter ~help:"root-finder evaluations spent in re-solves"
     "incremental.solver_iters"
 
+let m_sort_shifts =
+  Obs.Metrics.counter ~help:"insertion shifts restoring the carried order"
+    "incremental.sort_shifts"
+
+let m_sort_falls =
+  Obs.Metrics.counter ~help:"re-solves that sorted the live set from scratch"
+    "incremental.sort_fallbacks"
+
 type mode = Warm
 
 (* --- columnar re-solve (the online hot path) --------------------------- *)
@@ -243,7 +299,9 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
      event loop allocates exactly what it did uninstrumented
      (test/test_obs.ml holds this path to zero extra minor words). *)
   let sp = Obs.Span.start "online.resolve" in
+  let phase = Obs.Span.start "online.resolve.partition" in
   let ops0 = t.counters.partition_ops in
+  let shifts0 = t.counters.sort_shifts and falls0 = t.counters.sort_fallbacks in
   t.counters.resolves <- t.counters.resolves + 1;
   ensure_capacity t n;
   let platform = State.platform state in
@@ -283,7 +341,7 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
         ratio.(i) <- r
       done);
   t.counters.partition_ops <- t.counters.partition_ops + (2 * n);
-  let b = warm_boundary t ~n in
+  let b = warm_boundary t ~n ~slot ~gen:v.State.v_gen in
   (* Capped water-filling over the dominant suffix —
      {!Theory.Dominant.cache_allocation_capped} verbatim, with the caps
      read from the [v_capx] column and the active set / share scratch
@@ -334,6 +392,8 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
       end
     end
   done;
+  Obs.Span.stop phase;
+  let phase = Obs.Span.start "online.resolve.cost" in
   (* Pass 2 — access and residual work cost at the chosen cache split
      (the Eq. (2) chain inlined over the columns), plus the sequential
      fractions the root-finder reads. *)
@@ -361,6 +421,8 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   for i = 0 to n - 1 do
     d_tot := !d_tot +. ((1. -. sbuf.(i)) *. cbuf.(i))
   done;
+  Obs.Span.stop phase;
+  let phase = Obs.Span.start "online.resolve.root" in
   let warm =
     match t.prev_k with
     | Some pk ->
@@ -389,6 +451,8 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   t.counters.solver_iters <- t.counters.solver_iters + !iters;
   t.prev_k <- Some k;
   t.prev_d <- !d_tot;
+  Obs.Span.stop phase;
+  let phase = Obs.Span.start "online.resolve.install" in
   (* Pass 3 — equalising processor shares [p_i = (1-s_i)/(K/c_i - s_i)],
      then the exact-conservation rescale with the same Kahan total as
      {!Sched.Equalize.schedule_k}. *)
@@ -405,8 +469,11 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   let migrations =
     State.apply_view state ~n ~procs:pbuf ~cache:xbuf ~access:abuf
   in
+  Obs.Span.stop phase;
   if Obs.Probe.on () then begin
     Obs.Metrics.add m_partition_ops (t.counters.partition_ops - ops0);
+    Obs.Metrics.add m_sort_shifts (t.counters.sort_shifts - shifts0);
+    Obs.Metrics.add m_sort_falls (t.counters.sort_fallbacks - falls0);
     Obs.Metrics.add m_solver_iters !iters;
     Obs.Span.add_attr sp "mode" "warm";
     Obs.Span.add_attr sp "n" (string_of_int n);

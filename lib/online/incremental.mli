@@ -17,20 +17,23 @@
       [O(n log n)] against the cold rebuild's [O(n^2)] eviction loop, and
       provably the same subset (ties broken by index in both).
 
-      The sort itself is warm too: ratios, weights, the sorted
-      permutation and the suffix weight sums persist in {!t} as unboxed
-      parallel arrays, updated in place per event, and an insertion
-      sort repairs the carried permutation with zero allocation.  It is
-      adaptive only while positions are stable: progress drifts ratios
-      smoothly and an arrival appends one position, so such events cost
-      [O(n + inversions)].  The carried order is by {e position},
-      though, and a cancel shifts every later position by one; under
-      cancel churn the carried permutation is unrelated to the ratios,
-      the insertion pass exhausts its linear shift budget and the
-      re-solve falls back to a full [Array.sort] — [O(n log n)] on
-      every re-solve of a cancel-heavy stream (all of them on
-      perfbench's [live-1e5]).  ROADMAP item 1 carries the order by
-      job instead.
+      The sort itself is warm too.  {!t} carries the previous solve's
+      sorted order {e by job}, as (slot, generation) pairs read from
+      {!State.view}'s [v_slot] and [v_gen], so a departure anywhere in
+      the arrival order and a freelist slot recycled for a new arrival
+      leave the other jobs' carried places intact.  Each re-solve maps
+      the pairs back to positions (O(n)), keeps the survivors — live
+      jobs whose slot generation is unchanged — in carried order,
+      restores their progress drift with an adaptive insertion sort,
+      sorts the [a] arrivals since the last solve with [Array.sort] and
+      merges them in with one O(n) pass.  Per re-solve the sort costs
+      [O(n + d + a log a)], where [d] is the number of inversions
+      progress drift put among the survivors, plus one full
+      [O(n log n)] sort per create or restore (nothing carried yet);
+      capacity regrowth keeps the carried order.  Should [d] pass a
+      linear shift budget, the survivors are re-sorted with
+      [Array.sort] too.  [sort_shifts] and [sort_fallbacks] count
+      both.
 
     - {b Makespan.}  The previous [K], scaled by the change in residual
       parallel demand since the last solve, seeds a tight bracket that
@@ -43,11 +46,17 @@
 
     All work is counted: [partition_ops] increments per weight/ratio/
     dominance evaluation, [solver_iters] per makespan-objective
-    evaluation, so warm-vs-cold savings are measured, not asserted.
+    evaluation, [sort_shifts] per insertion shift, so warm-vs-cold
+    savings are measured, not asserted.
     With {!Obs.Probe.on}, every {!solve_state} also opens an
-    [online.resolve] tracing span and feeds the [incremental.*] metrics
+    [online.resolve] tracing span with four children that tile it —
+    [online.resolve.partition] (weights and ratios, the sort and
+    boundary, water-filling), [online.resolve.cost] (work costs and the
+    demand sum), [online.resolve.root] (the makespan root) and
+    [online.resolve.install] (processor shares and
+    {!State.apply_view}) — and feeds the [incremental.*] metrics
     (resolves, warm hits vs cold fallbacks, partition ops, solver
-    iterations). *)
+    iterations, sort shifts and sort fallbacks). *)
 
 type counters = {
   mutable solver_iters : int;
@@ -63,6 +72,14 @@ type counters = {
   mutable cold_fallbacks : int;
       (** {!solve_state} calls that fell back to the cold bracket (no
           previous makespan, or the prediction was unusable). *)
+  mutable sort_shifts : int;
+      (** Insertion shifts spent restoring the carried order's drift. *)
+  mutable sort_fallbacks : int;
+      (** {!solve_state} calls that sorted the live set from scratch:
+          nothing was carried (the first solve after {!create}), or the
+          insertion pass ran out of its linear shift budget.  Like
+          [sort_shifts], not checkpointed: a restored service starts
+          both at 0. *)
 }
 
 val fresh_counters : unit -> counters
@@ -70,8 +87,9 @@ val fresh_counters : unit -> counters
 
 type t
 (** Warm state: the previous makespan and suffix-boundary position, the
-    persistent partition arrays (ratios, weights, sorted permutation,
-    suffix sums), the columnar-solve scratch, and the {!counters}. *)
+    persistent partition arrays (ratios, weights, the sorted order
+    carried by job, suffix sums), the columnar-solve scratch, and the
+    {!counters}. *)
 
 val create : unit -> t
 (** Cold warm-state with {!fresh_counters}. *)
@@ -87,8 +105,13 @@ val prev_demand : t -> float
 
 val reseed : t -> prev_k:float option -> prev_d:float -> unit
 (** Install a checkpointed warm seed (previous makespan and demand
-    scale).  The carried permutation is {e not} restored — it only buys
-    sort adaptivity; the partition result is exact either way. *)
+    scale).  The carried order is {e not} restored — it only buys sort
+    adaptivity; the partition result is exact either way. *)
+
+val sorted_positions : t -> (int * float) array
+(** The last {!solve_state}'s live positions in partition order, each
+    with its ratio: the sort by (ratio, position) ascending.  Fresh
+    array, for tests. *)
 
 type mode = Warm
 (** The service's re-solve mode: [Warm] ({!solve_state}) is the only

@@ -104,6 +104,8 @@ let live_epoch lv = (Incremental.counters lv.inc).Incremental.resolves
 
 let live_state lv = lv.state
 
+let live_counters lv = Incremental.counters lv.inc
+
 let pending_events lv = Simulator.Engine.pending lv.engine
 
 let last_makespan lv = lv.last_k

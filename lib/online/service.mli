@@ -96,6 +96,11 @@ val live_state : live -> State.t
 (** The underlying live job state (read it, don't mutate it — the
     service owns all transitions). *)
 
+val live_counters : live -> Incremental.counters
+(** The re-solver's live work counters, including those a checkpoint
+    does not carry ([sort_shifts], [sort_fallbacks] start at 0 after
+    {!live_restore}). *)
+
 val last_makespan : live -> float option
 (** Equalised makespan [k] of the most recent re-solve; [None] before
     the first. *)

@@ -65,6 +65,7 @@ and cols = {
   mutable c_d : float array; (* Power_law.d_of *)
   mutable c_dpow : float array; (* d ** (1 / alpha) *)
   mutable c_capx : float array; (* max useful cache fraction *)
+  mutable c_gen : int array; (* admissions into the slot so far *)
 }
 
 and t = {
@@ -110,6 +111,7 @@ let create platform =
         c_d = [||];
         c_dpow = [||];
         c_capx = [||];
+        c_gen = [||];
       };
     clock = 0.;
     anchor = 0.;
@@ -188,6 +190,11 @@ let grow_float a cap =
   Array.blit a 0 b 0 (Array.length a);
   b
 
+let grow_int a cap =
+  let b = Array.make cap 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let grow_cols c =
   let cap = max 8 (2 * c.cap) in
   c.c_remaining <- grow_float c.c_remaining cap;
@@ -204,19 +211,27 @@ let grow_cols c =
   c.c_d <- grow_float c.c_d cap;
   c.c_dpow <- grow_float c.c_dpow cap;
   c.c_capx <- grow_float c.c_capx cap;
+  c.c_gen <- grow_int c.c_gen cap;
   c.cap <- cap
 
+(* Every admission bumps its slot's generation, so a (slot, generation)
+   pair names one job for as long as it lives, even after its slot is
+   recycled. *)
 let alloc_slot t =
-  if t.nfree > 0 then begin
-    t.nfree <- t.nfree - 1;
-    t.free.(t.nfree)
-  end
-  else begin
-    if t.hwm >= t.cols.cap then grow_cols t.cols;
-    let s = t.hwm in
-    t.hwm <- t.hwm + 1;
-    s
-  end
+  let s =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      if t.hwm >= t.cols.cap then grow_cols t.cols;
+      let s = t.hwm in
+      t.hwm <- t.hwm + 1;
+      s
+    end
+  in
+  t.cols.c_gen.(s) <- t.cols.c_gen.(s) + 1;
+  s
 
 let free_slot t s =
   if Array.length t.free <= t.nfree then begin
@@ -544,6 +559,7 @@ type view = {
   v_d : float array;
   v_dpow : float array;
   v_capx : float array;
+  v_gen : int array;
 }
 
 (* Move the anchor to the clock: write every running job's remaining
@@ -590,6 +606,7 @@ let view t =
     v_d = c.c_d;
     v_dpow = c.c_dpow;
     v_capx = c.c_capx;
+    v_gen = c.c_gen;
   }
 
 let apply_view t ~n ~procs ~cache ~access =

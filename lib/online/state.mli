@@ -231,6 +231,10 @@ type view = {
   v_d : float array;  (** {!Model.Power_law.d_of} per job. *)
   v_dpow : float array;  (** [d ** (1/alpha)] per job (0 when d = 0). *)
   v_capx : float array;  (** Max useful cache fraction per job. *)
+  v_gen : int array;
+      (** Per-slot generation: bumped by every admission into the slot,
+          so a [(slot, generation)] pair names one job across freelist
+          reuse. *)
 }
 (** Column view for the solver: slot-indexed arrays shared with the
     state (do not retain across events), plus the position-to-slot map

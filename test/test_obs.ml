@@ -315,6 +315,53 @@ let format_of_string_rejects_garbage () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bogus format accepted"
 
+(* --- the re-solve's phase split ------------------------------------------ *)
+
+(* [online.resolve] opens four child spans — partition, cost, root,
+   install — that tile it, so over a run their durations sum back to
+   the parent's within 10 % (what falls outside them is a few counter
+   updates and the parent's own attributes).  A Batched 16 service
+   admitting 2 000 jobs re-solves about 125 times at up to n = 2 000. *)
+let resolve_phases_sum_to_parent () =
+  let names =
+    [ "online.resolve.partition"; "online.resolve.cost"; "online.resolve.root";
+      "online.resolve.install" ]
+  in
+  let evs =
+    Obs.Probe.with_enabled (fun () ->
+        Obs.Span.reset ();
+        let config =
+          { Online.Service.default_config with policy = Online.Policy.Batched 16 }
+        in
+        let lv = Online.Service.live_create ~config ~platform () in
+        Array.iteri
+          (fun i app ->
+            ignore
+              (Online.Service.submit lv ~at:(float_of_int i) app : Online.State.job))
+          (synth ~seed:29 2_000);
+        let evs = Obs.Span.events () in
+        Obs.Span.reset ();
+        evs)
+  in
+  let total name =
+    Array.fold_left
+      (fun (k, d) (ev : Obs.Span.event) ->
+        if ev.Obs.Span.name = name then (k + 1, d +. ev.Obs.Span.dur_us) else (k, d))
+      (0, 0.) evs
+  in
+  let resolves, parent = total "online.resolve" in
+  Alcotest.(check bool) "re-solved" true (resolves >= 100);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " once per re-solve") resolves (fst (total name)))
+    names;
+  let children = List.fold_left (fun a name -> a +. snd (total name)) 0. names in
+  let ratio = children /. parent in
+  Alcotest.(check bool)
+    (Printf.sprintf "children / parent = %.4f within 1 +- 0.1" ratio)
+    true
+    (Float.abs (ratio -. 1.) <= 0.1)
+
 let () =
   Alcotest.run "obs"
     [
@@ -329,7 +376,11 @@ let () =
           qtest qcheck_equalize_bit_identical;
           qtest qcheck_service_bit_identical_and_reproducible;
         ] );
-      ("spans", [ qtest qcheck_span_nesting ]);
+      ( "spans",
+        [
+          qtest qcheck_span_nesting;
+          test "re-solve phases sum to the re-solve" resolve_phases_sum_to_parent;
+        ] );
       ( "exporters",
         [
           test "chrome trace round-trips through the strict parser"

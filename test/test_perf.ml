@@ -137,37 +137,90 @@ let solve_state_matches_cold inc st =
   in
   Array.for_all2 (fun j c -> Online.State.cache j > 0. = c) jobs cold
 
-(* Random histories: arrivals append fresh applications, departures
-   cancel at a random position (shifting every later position, the worst
-   case for the carried permutation), progress advances the clock under
-   the installed allocation by half the time to the first completion.
-   After every event the persistent warm partition must equal the cold
-   eviction loop exactly. *)
+(* The carried order is exactly a fresh sort of the last solve's live
+   positions by (ratio, position), the cold eviction loop's MinRatio
+   order. *)
+let order_is_fresh_sort inc st =
+  let sorted = Online.Incremental.sorted_positions inc in
+  let n = Array.length sorted in
+  let ratio = Array.make n Float.nan in
+  Array.iter (fun (p, r) -> if p >= 0 && p < n then ratio.(p) <- r) sorted;
+  let fresh = Array.init n Fun.id in
+  Array.sort
+    (fun u v ->
+      match Float.compare ratio.(u) ratio.(v) with 0 -> Int.compare u v | c -> c)
+    fresh;
+  n = Online.State.live_count st && Array.map fst sorted = fresh
+
+(* A checkpoint restore of the live state into a fresh one, as
+   [Service.live_restore] rebuilds it; the re-solver starts cold. *)
+let restored st =
+  let st' = Online.State.create platform in
+  Online.State.restore st' ~clock:(Online.State.now st)
+    ~anchor:(Online.State.anchor st) ~next_id:(Online.State.next_id st)
+    ~busy:(Online.State.settled_busy st);
+  Array.iter
+    (fun j ->
+      ignore
+        (Online.State.inject st' ~id:(Online.State.id j) ~app:(Online.State.app j)
+           ~arrival:(Online.State.arrival j)
+           ~remaining:(Online.State.settled_remaining j)
+           ~procs:(Online.State.procs j) ~cache:(Online.State.cache j)
+           ~allocated:(Online.State.allocated j) ~epoch:(Online.State.epoch j)
+           ~migrations:(Online.State.migrations j)
+          : Online.State.job))
+    (Online.State.live st);
+  st'
+
+(* Random histories.  Arrivals append fresh applications; departures
+   cancel at a random position (shifting every later position); the
+   churn perfbench's live-1e5 and wire-mixed drive cancels the oldest
+   job and submits a new one; a burst cancels two random jobs and
+   admits two, each arrival reusing a freed slot; progress advances the
+   clock under the installed allocation by half the time to the first
+   completion; a restore rebuilds the state from a checkpoint and
+   re-solves from a cold re-solver.  After every event the persistent
+   warm partition must equal the cold eviction loop exactly, and its
+   carried order must equal a fresh sort. *)
 let qcheck_warm_partition_under_churn =
   QCheck.Test.make ~count:40 ~name:"persistent warm partition == cold under churn"
-    QCheck.(pair (int_bound 10_000) (list_of_size Gen.(int_range 5 30) (int_bound 99)))
+    QCheck.(pair (int_bound 10_000) (list_of_size Gen.(int_range 5 40) (int_bound 99)))
     (fun (seed, script) ->
       let rng = Util.Rng.create seed in
-      let st = Online.State.create platform in
-      let inc = Online.Incremental.create () in
+      let st = ref (Online.State.create platform) in
+      let inc = ref (Online.Incremental.create ()) in
       let arrive () =
         let app = (Model.Workload.generate ~rng Model.Workload.Random 1).(0) in
-        ignore (Online.State.add st ~app)
+        ignore (Online.State.add !st ~app)
+      in
+      let cancel_at i =
+        let live = Online.State.live !st in
+        let n = Array.length live in
+        if n > 1 then Online.State.cancel !st live.(i mod n)
       in
       arrive ();
       arrive ();
       List.for_all
         (fun op ->
-          let live = Online.State.live st in
-          let n = Array.length live in
-          (match op mod 3 with
+          (match op mod 6 with
           | 0 -> arrive ()
-          | 1 -> if n > 1 then Online.State.cancel st live.(op mod n)
-          | _ ->
-            let dt = Online.State.next_finish st -. Online.State.now st in
+          | 1 -> cancel_at op
+          | 2 ->
+            let dt = Online.State.next_finish !st -. Online.State.now !st in
             if Float.is_finite dt then
-              Online.State.advance st ~to_:(Online.State.now st +. (0.5 *. dt)));
-          solve_state_matches_cold inc st)
+              Online.State.advance !st ~to_:(Online.State.now !st +. (0.5 *. dt))
+          | 3 ->
+            cancel_at 0;
+            arrive ()
+          | 4 ->
+            cancel_at op;
+            cancel_at (op / 2);
+            arrive ();
+            arrive ()
+          | _ ->
+            st := restored !st;
+            inc := Online.Incremental.create ());
+          solve_state_matches_cold !inc !st && order_is_fresh_sort !inc !st)
         script)
 
 let cold_partition_counts_ops () =
@@ -265,6 +318,68 @@ let plain_events_sweep_nothing () =
     true
     (!plain >= 900 && !rescans <= 10)
 
+(* --- the warm sort adapts under churn ------------------------------------ *)
+
+(* The counted twin of live-1e5's re-solves, at n = 2 000: a Batched 16
+   service that submits a new job and cancels the oldest, the churn
+   perfbench's live-1e5 and wire-mixed drive, restored from a checkpoint
+   half way.  The sort's order is carried by job, so only the first
+   re-solve after create and the first after restore may sort from
+   scratch, and restoring the survivors' progress drift shifts at most
+   n entries per re-solve.  An order carried by position is unrelated
+   to the ratios after a few cancels of the oldest job and sorts from
+   scratch on every re-solve. *)
+let sort_adapts_under_churn () =
+  let n = 2_000 and events = 1_200 in
+  let config =
+    { Online.Service.default_config with policy = Online.Policy.Batched 16 }
+  in
+  let apps = synth ~seed:73 (n + events) in
+  let lv = ref None and worst = ref 0 and last = ref 0 in
+  let listener = function
+    | Online.Service.Resolved _ ->
+      let c = Online.Service.live_counters (Option.get !lv) in
+      worst := max !worst (c.Online.Incremental.sort_shifts - !last);
+      last := c.Online.Incremental.sort_shifts
+    | Completed _ -> ()
+  in
+  let check what =
+    let c = Online.Service.live_counters (Option.get !lv) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d sort fallbacks" what c.Online.Incremental.sort_fallbacks)
+      true
+      (c.Online.Incremental.sort_fallbacks <= 1);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: at most %d shifts in one re-solve" what !worst)
+      true (!worst <= n)
+  in
+  lv := Some (Online.Service.live_create ~config ~listener ~platform ());
+  for i = 0 to n - 1 do
+    ignore (Online.Service.submit (Option.get !lv) ~at:0. apps.(i) : Online.State.job)
+  done;
+  let dt = Option.get (Online.Service.last_makespan (Option.get !lv)) *. 1e-7 in
+  let churn lo hi =
+    let l = Option.get !lv in
+    for e = lo to hi - 1 do
+      let at = Online.Service.live_now l +. dt in
+      if e mod 2 = 0 then
+        ignore (Online.Service.submit l ~at apps.(n + (e / 2)) : Online.State.job)
+      else
+        Alcotest.(check bool) "cancels a live job" true
+          (Online.Service.cancel l ~at ~id:(e / 2))
+    done
+  in
+  churn 0 (events / 2);
+  check "after create";
+  let resolves0 = Online.Service.live_epoch (Option.get !lv) in
+  let persist = Online.Service.live_persist (Option.get !lv) in
+  lv := Some (Online.Service.live_restore ~config ~listener ~platform persist);
+  last := 0;
+  churn (events / 2) events;
+  check "after restore";
+  Alcotest.(check bool) "re-solved under churn" true
+    (Online.Service.live_epoch (Option.get !lv) - resolves0 >= 30)
+
 let () =
   Alcotest.run "perf"
     [
@@ -288,5 +403,9 @@ let () =
           qtest qcheck_refine_tracks_reference;
           qtest qcheck_refine_never_degrades;
         ] );
-      ("online", [ test "plain events walk nothing" plain_events_sweep_nothing ]);
+      ( "online",
+        [
+          test "plain events walk nothing" plain_events_sweep_nothing;
+          test "sort adapts under churn" sort_adapts_under_churn;
+        ] );
     ]
