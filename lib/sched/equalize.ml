@@ -105,7 +105,12 @@ let root ~illinois ?(tol = 1e-13) ?warm ?iters ?pool ~platform
      Illinois probes the secant root, halving the value of an endpoint
      that stays put twice running, and falls back to the midpoint when
      the secant leaves the open interval — so it never progresses slower
-     than bisection. *)
+     than bisection.  A secant root that rounds onto an endpoint (with
+     both endpoint values finite) ends the solve at that endpoint: its
+     excess is then below the other's by more than the ratio of one ulp
+     to the bracket width, so it sits on the root to float precision,
+     and bisecting would only halve the bracket down to [tol] around
+     it. *)
   let refine lo hi flo fhi =
     if Obs.Probe.on () then
       last_bracket.(0) <- (hi -. lo) /. (0.5 *. (lo +. hi));
@@ -118,17 +123,23 @@ let root ~illinois ?(tol = 1e-13) ?warm ?iters ?pool ~platform
     let continue_ = ref true in
     while !continue_ do
       let mid = 0.5 *. (st.lo +. st.hi) in
+      let x =
+        if illinois then
+          st.hi -. (st.fhi *. (st.hi -. st.lo) /. (st.fhi -. st.flo))
+        else mid
+      in
       if st.hi -. st.lo <= tol *. (1.0 +. abs_float mid) || !it = 0 then begin
         st.k <- mid;
         continue_ := false
       end
+      else if
+        illinois && (x = st.lo || x = st.hi) && Float.is_finite (st.fhi -. st.flo)
+      then begin
+        st.k <- x;
+        continue_ := false
+      end
       else begin
-        (if not illinois then st.k <- mid
-         else
-           let x =
-             st.hi -. (st.fhi *. (st.hi -. st.lo) /. (st.fhi -. st.flo))
-           in
-           st.k <- (if x > st.lo && x < st.hi then x else mid));
+        st.k <- (if x > st.lo && x < st.hi then x else mid);
         eval ();
         if st.fk = 0.0 then continue_ := false
         else begin

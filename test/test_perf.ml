@@ -77,6 +77,42 @@ let qcheck_cols_matches_bisection =
         [ None; Some (k *. 0.3); Some (k *. 0.999); Some (k *. 1.001);
           Some (k *. 3.) ])
 
+(* The recorded endpoint stall: bench/main.exe online's threshold:0.1
+   stream (100 NPB-SYNTH apps, load 8, seed 2017), re-solve 17.  After
+   nine steps one endpoint sat on the root to float precision, every
+   later secant point rounded onto it, and the midpoint fallback halved
+   the bracket to the tolerance: 31 evaluations.  Stopping at that
+   endpoint ends the solve in at most 12. *)
+let illinois_stops_at_endpoint () =
+  let stream =
+    Online.Workload_stream.poisson_load ~rng:(Util.Rng.create 2017) ~platform
+      ~load:8. ~dataset:Model.Workload.NpbSynth 100
+  in
+  let config =
+    { Online.Service.default_config with policy = Online.Policy.Threshold 0.1 }
+  in
+  let lv = ref None and last = ref 0 and evals = ref (-1) in
+  let listener = function
+    | Online.Service.Resolved { epoch; _ } ->
+      let iters = (Online.Service.live_counters (Option.get !lv)).Online.Incremental.solver_iters in
+      if epoch = 17 then evals := iters - !last;
+      last := iters
+    | Completed _ -> ()
+  in
+  let live = Online.Service.live_create ~config ~listener ~platform () in
+  lv := Some live;
+  List.iter
+    (fun { Online.Workload_stream.time; kind } ->
+      match kind with
+      | Online.Workload_stream.Arrival app ->
+        ignore (Online.Service.submit live ~at:time app : Online.State.job)
+      | Departure id -> ignore (Online.Service.cancel live ~at:time ~id : bool))
+    (Online.Workload_stream.events stream);
+  Alcotest.(check bool)
+    (Printf.sprintf "re-solve 17 took %d evaluations" !evals)
+    true
+    (!evals > 0 && !evals <= 12)
+
 (* --- memoized kernel vs direct evaluation ------------------------------ *)
 
 let rel_err a b =
@@ -386,7 +422,12 @@ let () =
       ( "equalize",
         [ test "solve_makespan counts objective evaluations" solve_counts_iters ]
       );
-      ("illinois", [ qtest qcheck_cols_matches_bisection ]);
+      ( "illinois",
+        [
+          qtest qcheck_cols_matches_bisection;
+          test "stops when the secant rounds onto an endpoint"
+            illinois_stops_at_endpoint;
+        ] );
       ( "kernel",
         [
           qtest qcheck_kernel_work_cost;
