@@ -77,7 +77,8 @@ let reseed t ~prev_k ~prev_d =
   t.prev_k <- prev_k;
   t.prev_d <- prev_d
 
-let sorted_positions t = Array.init t.pn (fun k -> (t.order.(k), t.ratio.(t.order.(k))))
+let sorted_positions t =
+  Array.init t.pn (fun k -> (t.order.(k), t.ratio.(t.order.(k))))
 
 (* --- warm partition: maximal dominant suffix in ratio order ------------ *)
 
@@ -100,6 +101,11 @@ let ensure_capacity t n =
     t.actv <- Array.make cap false
   end
 
+(* A job's (slot, generation) pair as one int: state slots stay below
+   2^31, and a slot would need 2^32 admissions to wrap its generation. *)
+let slot_bits = 31
+let key ~slot ~gen = (gen lsl slot_bits) lor slot
+
 (* Shared tail of the warm partition: given [t.ratio] and [t.weight]
    filled for positions 0..n-1 of the view whose position-to-slot map is
    [slot] and whose per-slot generations are [gen], rebuild the sorted
@@ -110,11 +116,6 @@ let ensure_capacity t n =
    The order is the unique sort by (ratio, position) — the total order
    of the cold eviction loop's MinRatio ties — so however it is reached,
    everything downstream is the same. *)
-(* A job's (slot, generation) pair as one int: state slots stay below
-   2^31, and a slot would need 2^32 admissions to wrap its generation. *)
-let slot_bits = 31
-let key ~slot ~gen = (gen lsl slot_bits) lor slot
-
 let warm_boundary t ~n ~slot ~gen =
   let c = t.counters in
   let ratio = t.ratio and weightv = t.weight and order = t.order in
@@ -160,7 +161,8 @@ let warm_boundary t ~n ~slot ~gen =
   (* Progress drifts the survivors' ratios smoothly, so their carried
      order is nearly sorted: an adaptive insertion sort restores it in
      O(m + inversions) shifts.  Should the shift distance pass a linear
-     budget the pass bails to [Array.sort] with the same comparator. *)
+     budget, the pass bails and the survivors are sorted with the
+     arrivals below. *)
   let budget = ref (8 * n) in
   let k = ref 1 in
   while !k < m && !budget >= 0 do
@@ -182,15 +184,10 @@ let warm_boundary t ~n ~slot ~gen =
     incr k
   done;
   c.sort_shifts <- c.sort_shifts + ((8 * n) - !budget);
-  if !budget < 0 then begin
-    let head = Array.sub order 0 m in
-    Array.sort cmp head;
-    Array.blit head 0 order 0 m
-  end;
-  (* A sort from scratch: the insertion pass bailed, or nothing was
-     carried (the first solve after create or restore). *)
-  if !budget < 0 || (m = 0 && n > 1) then
-    c.sort_fallbacks <- c.sort_fallbacks + 1;
+  let m = if !budget < 0 then 0 else m in
+  (* A sort from scratch: the insertion pass bailed, or nothing carried
+     survived (the first solve after create or restore). *)
+  if m = 0 && n > 1 then c.sort_fallbacks <- c.sort_fallbacks + 1;
   (* Sort the few arrivals, then merge them into the survivors from the
      back: one O(n) pass that never overwrites an unread survivor. *)
   let arr = Array.sub order m (n - m) in

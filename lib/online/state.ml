@@ -190,11 +190,6 @@ let grow_float a cap =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow_int a cap =
-  let b = Array.make cap 0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
 let grow_cols c =
   let cap = max 8 (2 * c.cap) in
   c.c_remaining <- grow_float c.c_remaining cap;
@@ -211,7 +206,9 @@ let grow_cols c =
   c.c_d <- grow_float c.c_d cap;
   c.c_dpow <- grow_float c.c_dpow cap;
   c.c_capx <- grow_float c.c_capx cap;
-  c.c_gen <- grow_int c.c_gen cap;
+  let gen = Array.make cap 0 in
+  Array.blit c.c_gen 0 gen 0 c.cap;
+  c.c_gen <- gen;
   c.cap <- cap
 
 (* Every admission bumps its slot's generation, so a (slot, generation)

@@ -3,15 +3,17 @@
    The contracts under test, in decreasing strictness:
    - the online entry [Equalize.solve_cols] (Illinois, warm or cold)
      finds the paper entry's bisection root, on both sides of the
-     2048-wide demand chunk;
+     2048-wide demand chunk, and stops once its secant point rounds onto
+     an endpoint;
    - the memoized {!Model.Kernel} matches the direct execution-model
      evaluation to <= 1e-12 relative (its factorisation reassociates one
      power), and its support threshold is bit-equal to
      {!Model.Power_law.min_useful_fraction};
    - the persistent warm partition behind [Incremental.solve_state]
      equals the cold eviction loop exactly across arbitrary
-     arrival/departure/progress histories (not just on i.i.d. instances:
-     the carried permutation must survive churn);
+     arrival/departure/progress/restore histories, and its carried sort
+     order equals a fresh sort; under cancel-oldest churn it sorts from
+     scratch at most once per create or restore;
    - the optimized refinement tracks the oracle library's naive
      reference and never degrades its starting point;
    - an online event that neither re-solves nor completes a job walks
@@ -259,6 +261,30 @@ let qcheck_warm_partition_under_churn =
           solve_state_matches_cold !inc !st && order_is_fresh_sort !inc !st)
         script)
 
+(* A carried order unrelated to the ratios: two fresh states of 300 jobs
+   share slots 0..299 at generation 1, so a re-solver moved from one to
+   the other keeps every key, and its insertion pass meets about n^2/4
+   inversions.  It must spend its 8n-shift budget, bail to a full sort
+   and still produce the fresh sort. *)
+let disordered_carry_bails () =
+  let n = 300 in
+  let inc = Online.Incremental.create () in
+  let solve seed =
+    let st = Online.State.create platform in
+    Array.iter (fun app -> ignore (Online.State.add st ~app)) (random_apps ~seed n);
+    ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
+    Alcotest.(check bool) "fresh sort" true (order_is_fresh_sort inc st)
+  in
+  let c = Online.Incremental.counters inc in
+  solve 5;
+  Alcotest.(check int) "cold start sorts from scratch" 1
+    c.Online.Incremental.sort_fallbacks;
+  solve 6;
+  Alcotest.(check int) "a disordered carry sorts from scratch" 2
+    c.Online.Incremental.sort_fallbacks;
+  Alcotest.(check bool) "the budget was spent" true
+    (c.Online.Incremental.sort_shifts > 8 * n)
+
 let cold_partition_counts_ops () =
   let apps = random_apps ~seed:13 25 in
   let c = Online.Incremental.fresh_counters () in
@@ -437,6 +463,7 @@ let () =
       ( "partition",
         [
           qtest qcheck_warm_partition_under_churn;
+          test "a disordered carry bails to a full sort" disordered_carry_bails;
           test "cold partition ops hook" cold_partition_counts_ops;
         ] );
       ( "refine",
