@@ -394,6 +394,10 @@ let solver cfg =
   let arrival_big = arrival_words ~live:1920 in
   let seq3k, shd3k, sharded_same = bench_sharded_solve cfg in
   bench_paper cfg;
+  let dominant_rev_words n =
+    let name = Printf.sprintf "DominantRevMaxRatio/n=%d" n in
+    (List.find (fun s -> s.name = name) !samples).minor_words_per_op
+  in
   let refine_speedup = reference.ns_per_op /. optimized.ns_per_op in
   let gap g = g.tight.minor_words_per_op -. g.loose.minor_words_per_op in
   (* Constant words per arrival at a 20x live-set gap ==> the columnar
@@ -404,6 +408,12 @@ let solver cfg =
      per evaluation.  Sub-word slack absorbs the measurement scaffolding
      (the [Gc.minor ()] call's own boxes amortised over the reps). *)
   let zero_alloc g = g.iters_tight > g.iters_loose && Float.abs (gap g) < 1. in
+  (* Algorithm 2 reads each application's weight and ratio from columns
+     filled once per build, so its words grow with n, as Algorithm 1's
+     do (4x from n = 64 to 256); rescoring every candidate at every step
+     allocated quadratically (15x).  Words are counted, not timed. *)
+  let rev_words_ratio = dominant_rev_words 256 /. dominant_rev_words 64 in
+  let rev_alloc_linear = rev_words_ratio <= 6. in
   let derived =
     [
       ("work_cost_speedup_vs_exec_model", direct.ns_per_op /. kernel.ns_per_op);
@@ -418,6 +428,7 @@ let solver cfg =
       ("arrival_words_live1920", arrival_big);
       ("arrival_words_gap", arrival_gap);
       ("sharded_solve_speedup_2dom", seq3k.ns_per_op /. shd3k.ns_per_op);
+      ("dominant_rev_words_ratio_256_64", rev_words_ratio);
     ]
   in
   let sample s =
@@ -441,6 +452,7 @@ let solver cfg =
          ("zero_alloc_per_solve_cols_eval", string_of_bool (zero_alloc cols));
          ("arrival_alloc_constant", string_of_bool arrival_const);
          ("sharded_solve_bit_identical", string_of_bool sharded_same);
+         ("dominant_rev_alloc_linear", string_of_bool rev_alloc_linear);
        ]);
   List.iter
     (fun (entry, g) ->
@@ -456,6 +468,10 @@ let solver cfg =
        arrival_small arrival_big);
   gate ~enforced:true sharded_same
     "2-domain sharded solve differs from sequential";
+  gate ~enforced:true rev_alloc_linear
+    (Printf.sprintf
+       "DominantRevMaxRatio words grow %.1fx from n = 64 to n = 256 (> 6x)"
+       rev_words_ratio);
   (* Smoke repetitions are too few to time a 2x gap reliably. *)
   gate ~enforced:(not cfg.smoke) (refine_speedup >= 2.)
     (Printf.sprintf "refine speedup %.2fx < 2x over the naive reference"

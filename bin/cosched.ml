@@ -618,7 +618,9 @@ let online_cmd =
           ~doc:
             "Worker domains for sharded re-solve passes (0 = all cores).  \
              Allocations are bit-identical to the sequential path whatever \
-             N; the shards only buy wall-clock on large live sets.")
+             N.  Sharding is slower on small hosts: on 2 vCPUs, 2 domains \
+             re-solve 3000 live jobs at 0.19x the sequential speed \
+             ($(b,bench/main.exe solver), sharded_solve_speedup_2dom).")
   in
   let arrivals_arg =
     Arg.(

@@ -13,20 +13,3 @@ let of_string s =
   | other -> invalid_arg ("Choice.of_string: unknown choice function " ^ other)
 
 let all = [ Random; MinRatio; MaxRatio ]
-
-let argbest better ~platform ~apps candidates =
-  let score i = Theory.Dominant.ratio ~platform apps.(i) in
-  match candidates with
-  | [] -> invalid_arg "Choice.pick: empty candidate list"
-  | first :: rest ->
-    let choose (best_i, best_r) i =
-      let r = score i in
-      if better r best_r then (i, r) else (best_i, best_r)
-    in
-    fst (List.fold_left choose (first, score first) rest)
-
-let pick criterion ~rng ~platform ~apps candidates =
-  match criterion with
-  | Random -> Util.Rng.pick rng candidates
-  | MinRatio -> argbest ( < ) ~platform ~apps candidates
-  | MaxRatio -> argbest ( > ) ~platform ~apps candidates

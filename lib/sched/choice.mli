@@ -6,7 +6,10 @@
     based on the dominance ratio [(w f d)^{1/(alpha+1)} / d^{1/alpha}]:
     applications with a small ratio are the ones that break dominance, so
     [MinRatio] pairs naturally with eviction (Algorithm 1) and [MaxRatio]
-    with accretion (Algorithm 2). *)
+    with accretion (Algorithm 2).  {!Partition_builder} applies the
+    criterion: a uniform draw for [Random], the smallest or largest
+    ratio for [MinRatio]/[MaxRatio] with ties going to the lowest
+    index. *)
 
 type t = Random | MinRatio | MaxRatio
 
@@ -18,12 +21,3 @@ val of_string : string -> t
 (** Case-insensitive.  @raise Invalid_argument on unknown names. *)
 
 val all : t list
-
-val pick :
-  t -> rng:Util.Rng.t -> platform:Model.Platform.t ->
-  apps:Model.App.t array -> int list -> int
-(** [pick c ~rng ~platform ~apps candidates] selects an application index
-    from the non-empty [candidates] list: uniformly for [Random], the
-    smallest dominance ratio for [MinRatio] (ties broken by lowest index),
-    the largest for [MaxRatio].
-    @raise Invalid_argument on an empty candidate list. *)

@@ -10,6 +10,59 @@ let strategy_of_string s =
   | "dominantrev" | "dominant-rev" -> DominantRev
   | other -> invalid_arg ("Partition_builder: unknown strategy " ^ other)
 
+(* Dominant.weight and Dominant.ratio of every application, computed once
+   per build: both are deterministic functions of the application and the
+   platform, so reading them from these columns gives the values the
+   per-step calls would, bit for bit. *)
+type columns = { weight : float array; ratio : float array }
+
+let columns ~platform ~apps =
+  {
+    weight = Array.map (Theory.Dominant.weight ~platform) apps;
+    ratio = Array.map (Theory.Dominant.ratio ~platform) apps;
+  }
+
+(* Dominant.is_dominant on the columns.  [total] is the left fold over the
+   members in index order, Dominant.weight_sum's association, and a member
+   violates iff [ratio <= total], Dominant.violators' test (a NaN ratio
+   never violates). *)
+let dominant cols subset =
+  let n = Array.length subset in
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    if subset.(i) then total := !total +. cols.weight.(i)
+  done;
+  let total = !total in
+  let i = ref 0 in
+  while !i < n && not (subset.(!i) && cols.ratio.(!i) <= total) do
+    incr i
+  done;
+  !i = n
+
+(* The choice function over the non-empty candidate mask [cand], read in
+   index order: [Random] draws from the index-ordered candidate list as
+   Util.Rng.pick does; [MinRatio]/[MaxRatio] keep the first candidate
+   unless a later one is strictly better, so ties go to the lowest
+   index. *)
+let pick choice ~rng cols cand =
+  match choice with
+  | Choice.Random -> Util.Rng.pick rng (Theory.Dominant.indices cand)
+  | Choice.MinRatio | Choice.MaxRatio ->
+    let want_max = choice = Choice.MaxRatio in
+    let n = Array.length cand in
+    let best = ref (-1) in
+    let best_r = ref 0. in
+    for i = 0 to n - 1 do
+      if cand.(i) then begin
+        let r = cols.ratio.(i) in
+        if !best < 0 || (if want_max then r > !best_r else r < !best_r) then begin
+          best := i;
+          best_r := r
+        end
+      end
+    done;
+    !best
+
 (* Algorithm 1: evict from the full set until dominant.
 
    [ops], when given, receives the per-iteration scan counts — [m] for
@@ -18,55 +71,46 @@ let strategy_of_string s =
    algorithmic work against warm-started alternatives (the online
    incremental solver) account for exactly the loop this function runs
    rather than a hand-maintained replica that could drift. *)
-let build_dominant ?ops choice ~rng ~platform ~apps =
-  let n = Array.length apps in
+let build_dominant ?ops choice ~rng cols n =
   let subset = Array.make n true in
   let tick m = match ops with Some f -> f m | None -> () in
-  let rec loop () =
-    let members = Theory.Dominant.indices subset in
-    let m = List.length members in
-    if m = 0 then ()
-    else begin
+  let rec loop m =
+    if m > 0 then begin
       tick m;
       (* weight sum *)
       tick m;
       (* dominance check *)
-      if Theory.Dominant.is_dominant ~platform ~apps subset then ()
-      else begin
-        let k = Choice.pick choice ~rng ~platform ~apps members in
+      if not (dominant cols subset) then begin
+        let k = pick choice ~rng cols subset in
         tick m;
         (* eviction scan *)
         subset.(k) <- false;
-        loop ()
+        loop (m - 1)
       end
     end
   in
-  loop ();
+  loop n;
   subset
 
-(* Algorithm 2: grow from a single application while dominance holds. *)
-let build_dominant_rev choice ~rng ~platform ~apps =
-  let n = Array.length apps in
-  let accepted = Array.make n false in
+(* Algorithm 2: grow from the empty set while dominance holds; the first
+   rejection stops the accretion. *)
+let build_dominant_rev choice ~rng cols n =
   let trial = Array.make n false in
-  let remaining = ref (List.init n (fun i -> i)) in
-  let rec loop () =
-    match !remaining with
-    | [] -> ()
-    | candidates ->
-      let k = Choice.pick choice ~rng ~platform ~apps candidates in
+  let rest = Array.make n true in
+  let rec loop left =
+    if left > 0 then begin
+      let k = pick choice ~rng cols rest in
+      rest.(k) <- false;
       trial.(k) <- true;
-      if Theory.Dominant.is_dominant ~platform ~apps trial then begin
-        accepted.(k) <- true;
-        remaining := List.filter (fun i -> i <> k) candidates;
-        loop ()
-      end
-      (* First rejection stops the accretion, as in Algorithm 2. *)
+      if dominant cols trial then loop (left - 1) else trial.(k) <- false
+    end
   in
-  loop ();
-  accepted
+  loop n;
+  trial
 
 let build ?ops strategy choice ~rng ~platform ~apps =
+  let cols = columns ~platform ~apps in
+  let n = Array.length apps in
   match strategy with
-  | Dominant -> build_dominant ?ops choice ~rng ~platform ~apps
-  | DominantRev -> build_dominant_rev choice ~rng ~platform ~apps
+  | Dominant -> build_dominant ?ops choice ~rng cols n
+  | DominantRev -> build_dominant_rev choice ~rng cols n

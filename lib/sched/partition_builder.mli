@@ -4,7 +4,29 @@
     chosen by the choice function until the partition is dominant.
     [DominantRev] (Algorithm 2) starts from the empty set and accretes
     applications chosen by the choice function for as long as the
-    partition stays dominant, returning the last dominant prefix. *)
+    partition stays dominant, returning the last dominant prefix.
+
+    Cost.  Each {!build} computes {!Theory.Dominant.weight} and
+    {!Theory.Dominant.ratio} once per application, into two float
+    columns: O(n) [**] per call.  Every step of either algorithm then
+    reads the columns with no [**]: an O(n) weight sum, an O(n)
+    dominance check and an O(n) choice scan, so a build is O(n^2)
+    float operations in all.  Algorithm 2 allocates nothing per step
+    under [MinRatio]/[MaxRatio]; [Random] builds the candidate list it
+    draws from.
+
+    Bit-identity.  Both quantities are deterministic functions of the
+    application and the platform, so a cached value equals the value a
+    per-step call would return.  The weight sum is the left fold over
+    the members in index order, which is {!Theory.Dominant.weight_sum}'s
+    association, and a member violates dominance iff [ratio <= total],
+    {!Theory.Dominant.violators}' test (a NaN ratio never violates).  The
+    choice scans the candidates in index order and replaces the best only
+    on a strictly better ratio, so ties go to the lowest index; [Random]
+    calls {!Util.Rng.pick} on the index-ordered candidate list.  The
+    subsets, the [ops] calls and the draws taken from [rng] are therefore
+    those of the list-based algorithms that recompute both quantities at
+    every step; the test suite checks this against that reference. *)
 
 type strategy = Dominant | DominantRev
 

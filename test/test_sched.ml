@@ -41,8 +41,8 @@ let choice_min_max_are_extremes () =
   let apps = synth ~seed:1 10 in
   let rng = Util.Rng.create 2 in
   let candidates = List.init 10 (fun i -> i) in
-  let kmin = Sched.Choice.pick Sched.Choice.MinRatio ~rng ~platform ~apps candidates in
-  let kmax = Sched.Choice.pick Sched.Choice.MaxRatio ~rng ~platform ~apps candidates in
+  let kmin = Oracle.Partition_reference.pick Sched.Choice.MinRatio ~rng ~platform ~apps candidates in
+  let kmax = Oracle.Partition_reference.pick Sched.Choice.MaxRatio ~rng ~platform ~apps candidates in
   let ratio i = Theory.Dominant.ratio ~platform apps.(i) in
   List.iter
     (fun i ->
@@ -57,7 +57,7 @@ let choice_respects_candidates () =
   List.iter
     (fun criterion ->
       for _ = 1 to 20 do
-        let k = Sched.Choice.pick criterion ~rng ~platform ~apps candidates in
+        let k = Oracle.Partition_reference.pick criterion ~rng ~platform ~apps candidates in
         Alcotest.(check bool) "chosen from candidates" true (List.mem k candidates)
       done)
     Sched.Choice.all
@@ -67,7 +67,7 @@ let choice_empty_rejected () =
   let rng = Util.Rng.create 6 in
   Alcotest.(check bool) "empty" true
     (try
-       ignore (Sched.Choice.pick Sched.Choice.MinRatio ~rng ~platform ~apps []);
+       ignore (Oracle.Partition_reference.pick Sched.Choice.MinRatio ~rng ~platform ~apps []);
        false
      with Invalid_argument _ -> true)
 
@@ -77,7 +77,7 @@ let choice_deterministic_tiebreak () =
   let apps = Array.make 4 app in
   let rng = Util.Rng.create 7 in
   Alcotest.(check int) "lowest index" 0
-    (Sched.Choice.pick Sched.Choice.MinRatio ~rng ~platform ~apps [ 0; 1; 2; 3 ])
+    (Oracle.Partition_reference.pick Sched.Choice.MinRatio ~rng ~platform ~apps [ 0; 1; 2; 3 ])
 
 (* --- Partition_builder ---------------------------------------------------- *)
 
@@ -160,6 +160,56 @@ let qcheck_builder_dominant =
               Theory.Dominant.is_dominant ~platform ~apps subset)
             Sched.Choice.all)
         Sched.Partition_builder.[ Dominant; DominantRev ])
+
+(* Half the instances repeat a few applications, so ratio ties are common
+   and the lowest-index tie-break is exercised; the other half draw every
+   parameter at random. *)
+let reference_instance ~seed n =
+  let rng = Util.Rng.create seed in
+  if seed mod 2 = 0 then Model.Workload.generate ~rng Model.Workload.Random n
+  else
+    let pool =
+      Model.Workload.generate ~rng Model.Workload.NpbSynth (1 + Util.Rng.int rng 6)
+    in
+    Array.init n (fun _ -> pool.(Util.Rng.int rng (Array.length pool)))
+
+(* The shipped builders read cached weight and ratio columns; the
+   list-based reference recomputes both at every step.  On the paper
+   platform and on a tiny cache (which forces evictions and rejections)
+   they must agree on the subset, on every [ops] call and on the
+   randomness consumed (the next draw after the build). *)
+let qcheck_builder_matches_reference =
+  let tiny = Model.Platform.make ~p:256. ~cs:1e5 () in
+  QCheck.Test.make ~name:"builders match the list-based reference" ~count:150
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "(seed %d, n %d)" seed n)
+       QCheck.Gen.(pair (int_bound 100_000) (int_range 0 96)))
+    (fun (seed, n) ->
+      let apps = reference_instance ~seed n in
+      let run build strategy choice platform =
+        let rng = Util.Rng.create (seed + 1) in
+        let ops = ref [] in
+        let subset =
+          build ~ops:(fun m -> ops := m :: !ops) strategy choice ~rng ~platform
+            ~apps
+        in
+        (subset, !ops, Util.Rng.int rng 1_000_000)
+      in
+      List.for_all
+        (fun platform ->
+          List.for_all
+            (fun strategy ->
+              List.for_all
+                (fun choice ->
+                  run
+                    (fun ~ops -> Sched.Partition_builder.build ~ops)
+                    strategy choice platform
+                  = run
+                      (fun ~ops -> Oracle.Partition_reference.build ~ops)
+                      strategy choice platform)
+                Sched.Choice.all)
+            Sched.Partition_builder.[ Dominant; DominantRev ])
+        [ platform; tiny ])
 
 (* --- Equalize ------------------------------------------------------------- *)
 
@@ -493,6 +543,7 @@ let () =
           test "rev grows from empty" builder_rev_grows_from_empty;
           test "single application" builder_single_app;
           qtest qcheck_builder_dominant;
+          qtest qcheck_builder_matches_reference;
         ] );
       ( "equalize",
         [
