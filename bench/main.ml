@@ -306,37 +306,6 @@ let arrival_words ~live =
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. float_of_int reps
 
-(* Two worker domains, one mid-size columnar instance crossing the
-   solver's 2048-wide demand chunk: the sharded solve must reproduce the
-   sequential makespan bit-for-bit (the exhaustive gate lives in the
-   QCheck suite; this keeps a live pool inside `dune runtest`), and both
-   paths are timed for the JSON. *)
-let bench_sharded_solve cfg =
-  let n = 3_000 in
-  let big =
-    Model.Workload.generate ~rng:(Util.Rng.create 97) Model.Workload.NpbSynth n
-  in
-  let solve pool =
-    let st = Online.State.create platform in
-    Array.iter (fun app -> ignore (Online.State.add st ~app)) big;
-    let inc = Online.Incremental.create () in
-    let k, _ =
-      Online.Incremental.solve_state inc ?pool ~shard_min:1 ~elapsed:0.
-        ~state:st ()
-    in
-    k
-  in
-  let run name pool =
-    measure cfg ~name ~reps:20 (fun () ->
-        let k = solve pool in
-        sink := !sink +. k;
-        k)
-  in
-  let seq = run "solve_state/seq-3000" None in
-  Exec.Pool.with_pool ~jobs:2 (fun pool ->
-      let shd = run "solve_state/sharded-2dom-3000" (Some pool) in
-      (seq, shd, solve (Some pool) = solve None))
-
 (* The paper's policies end to end on NPB-synth instances, the 2^n
    enumerator, the cache simulator's two kernels and the discrete-event
    replay of one schedule. *)
@@ -358,7 +327,13 @@ let bench_paper cfg =
                  Sched.Heuristics.makespan ~rng ~platform ~apps policy)))
         [ (16, 2_000); (64, 500); (256, 40) ])
     Sched.Heuristics.
-      [ dominant_min_ratio; DominantPartition (DominantRev, MaxRatio); Fair; ZeroCache ];
+      [
+        dominant_min_ratio;
+        DominantPartition (DominantRev, MaxRatio);
+        DominantPartition (DominantRev, Random);
+        Fair;
+        ZeroCache;
+      ];
   let apps = instance 12 in
   ignore
     (measure cfg ~name:"Exact.optimal/n=12" ~reps:40 (fun () ->
@@ -392,10 +367,9 @@ let solver cfg =
   bench_partition cfg apps;
   let arrival_small = arrival_words ~live:96 in
   let arrival_big = arrival_words ~live:1920 in
-  let seq3k, shd3k, sharded_same = bench_sharded_solve cfg in
   bench_paper cfg;
-  let dominant_rev_words n =
-    let name = Printf.sprintf "DominantRevMaxRatio/n=%d" n in
+  let words name n =
+    let name = Printf.sprintf "%s/n=%d" name n in
     (List.find (fun s -> s.name = name) !samples).minor_words_per_op
   in
   let refine_speedup = reference.ns_per_op /. optimized.ns_per_op in
@@ -411,9 +385,12 @@ let solver cfg =
   (* Algorithm 2 reads each application's weight and ratio from columns
      filled once per build, so its words grow with n, as Algorithm 1's
      do (4x from n = 64 to 256); rescoring every candidate at every step
-     allocated quadratically (15x).  Words are counted, not timed. *)
-  let rev_words_ratio = dominant_rev_words 256 /. dominant_rev_words 64 in
-  let rev_alloc_linear = rev_words_ratio <= 6. in
+     allocated quadratically (15x), and so does building the candidate
+     list at every Random step (13x).  Words are counted, not timed. *)
+  let words_ratio name = words name 256 /. words name 64 in
+  let rev_words_ratio = words_ratio "DominantRevMaxRatio" in
+  let rev_random_words_ratio = words_ratio "DominantRevRandom" in
+  let linear ratio = ratio <= 6. in
   let derived =
     [
       ("work_cost_speedup_vs_exec_model", direct.ns_per_op /. kernel.ns_per_op);
@@ -427,8 +404,8 @@ let solver cfg =
       ("arrival_words_live96", arrival_small);
       ("arrival_words_live1920", arrival_big);
       ("arrival_words_gap", arrival_gap);
-      ("sharded_solve_speedup_2dom", seq3k.ns_per_op /. shd3k.ns_per_op);
       ("dominant_rev_words_ratio_256_64", rev_words_ratio);
+      ("dominant_rev_random_words_ratio_256_64", rev_random_words_ratio);
     ]
   in
   let sample s =
@@ -451,8 +428,9 @@ let solver cfg =
          ("zero_alloc_per_bisection_eval", string_of_bool (zero_alloc paper));
          ("zero_alloc_per_solve_cols_eval", string_of_bool (zero_alloc cols));
          ("arrival_alloc_constant", string_of_bool arrival_const);
-         ("sharded_solve_bit_identical", string_of_bool sharded_same);
-         ("dominant_rev_alloc_linear", string_of_bool rev_alloc_linear);
+         ("dominant_rev_alloc_linear", string_of_bool (linear rev_words_ratio));
+         ("dominant_rev_random_alloc_linear",
+           string_of_bool (linear rev_random_words_ratio));
        ]);
   List.iter
     (fun (entry, g) ->
@@ -466,12 +444,15 @@ let solver cfg =
        "columnar arrival cost scales with the live set (%.2f vs %.2f \
         words/arrival at live 96 vs 1920)"
        arrival_small arrival_big);
-  gate ~enforced:true sharded_same
-    "2-domain sharded solve differs from sequential";
-  gate ~enforced:true rev_alloc_linear
-    (Printf.sprintf
-       "DominantRevMaxRatio words grow %.1fx from n = 64 to n = 256 (> 6x)"
-       rev_words_ratio);
+  List.iter
+    (fun (name, ratio) ->
+      gate ~enforced:true (linear ratio)
+        (Printf.sprintf "%s words grow %.1fx from n = 64 to n = 256 (> 6x)"
+           name ratio))
+    [
+      ("DominantRevMaxRatio", rev_words_ratio);
+      ("DominantRevRandom", rev_random_words_ratio);
+    ];
   (* Smoke repetitions are too few to time a 2x gap reliably. *)
   gate ~enforced:(not cfg.smoke) (refine_speedup >= 2.)
     (Printf.sprintf "refine speedup %.2fx < 2x over the naive reference"

@@ -610,18 +610,6 @@ let online_cmd =
       value & flag
       & info [ "json" ] ~doc:"Emit metrics as one JSON object per policy.")
   in
-  let online_jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for sharded re-solve passes (0 = all cores).  \
-             Allocations are bit-identical to the sequential path whatever \
-             N.  Sharding is slower on small hosts: on 2 vCPUs, 2 domains \
-             re-solve 3000 live jobs at 0.19x the sequential speed \
-             ($(b,bench/main.exe solver), sharded_solve_speedup_2dom).")
-  in
   let arrivals_arg =
     Arg.(
       value
@@ -648,11 +636,10 @@ let online_cmd =
              is 1e8..1e12, so e.g. $(b,pareto:a=1.1,xm=1e9)).")
   in
   let run seed dataset napps procs cs load arrivals sizes policy check json
-      jobs trace metrics =
+      trace metrics =
     with_obs trace metrics @@ fun () ->
     let rng = Util.Rng.create seed in
     let platform = platform_of ~procs ~cs in
-    let jobs = if jobs = 0 then Exec.Pool.default_jobs () else jobs in
     let stream =
       match (arrivals, sizes) with
       | None, None ->
@@ -671,14 +658,12 @@ let online_cmd =
     let policies =
       match policy with Some p -> [ p ] | None -> Online.Policy.defaults
     in
-    Exec.Pool.with_pool ~jobs @@ fun pool ->
-    let pool = if Exec.Pool.size pool = 0 then None else Some pool in
     List.iter
       (fun policy ->
         let config =
           { Online.Service.default_config with policy; validate = check }
         in
-        let report = Online.Service.run ~config ?pool ~platform stream in
+        let report = Online.Service.run ~config ~platform stream in
         let metrics = report.Online.Service.metrics in
         if json then
           Printf.printf "{\"policy\":\"%s\",\"metrics\":%s}\n"
@@ -694,7 +679,7 @@ let online_cmd =
     Term.(
       const run $ seed_arg $ dataset_arg $ napps_arg $ procs_arg $ cs_arg
       $ load_arg $ arrivals_arg $ sizes_arg $ online_policy_arg $ check_arg
-      $ json_arg $ online_jobs_arg $ trace_arg $ metrics_arg)
+      $ json_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "online"

@@ -10,17 +10,9 @@ type t = {
 let m_tasks =
   Obs.Metrics.counter ~help:"tasks dispatched to pool workers" "exec.pool.tasks"
 
-let m_sections =
-  Obs.Metrics.counter ~help:"parallel sections (chunked for/reduce barriers)"
-    "exec.pool.sections"
-
 let m_idle_waits =
   Obs.Metrics.counter ~help:"times a worker went to sleep on an empty queue"
     "exec.pool.idle_waits"
-
-let m_shard_us =
-  Obs.Metrics.histogram ~help:"per-shard wall time, in microseconds"
-    "exec.pool.shard_us"
 
 let rec worker_loop t =
   Mutex.lock t.lock;
@@ -109,99 +101,6 @@ let map_array t f a =
   let outcomes = map_outcomes t f a in
   reraise_first outcomes;
   Array.map (function Ok r -> r | Error _ -> assert false) outcomes
-
-(* Chunk [c] of [chunks] over [0, n): the remainder indices go to the
-   leading chunks, so boundaries depend only on (n, chunks). *)
-let chunk_bounds ~n ~chunks c =
-  let base = n / chunks and rem = n mod chunks in
-  let lo = (c * base) + min c rem in
-  let hi = lo + base + (if c < rem then 1 else 0) in
-  (lo, hi)
-
-let effective_chunks t ?chunks n =
-  let chunks = match chunks with Some c -> c | None -> t.size in
-  max 1 (min chunks n)
-
-(* Worker domains record spans under their own tid, so a traced solve
-   shows one lane per pool worker in the Chrome trace viewer. *)
-let run_shard f lo hi =
-  if not (Obs.Probe.on ()) then f lo hi
-  else begin
-    let sp = Obs.Span.start "exec.shard" in
-    let t0 = Obs.Clock.now_ns () in
-    let r = protect (fun () -> f lo hi) () in
-    Obs.Metrics.observe m_shard_us (Obs.Clock.elapsed_us ~since:t0);
-    Obs.Span.stop sp;
-    match r with
-    | Ok v -> v
-    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  end
-
-(* Barrier: run [g c] for every chunk index on the workers, collect
-   per-chunk outcomes, re-raise the smallest failing chunk's exception. *)
-let barrier_chunks t ~chunks g =
-  let outcomes = Array.make chunks (Ok ()) in
-  let remaining = ref chunks in
-  let all_done = Condition.create () in
-  if Obs.Probe.on () then Obs.Metrics.incr m_sections;
-  for c = 0 to chunks - 1 do
-    submit t (fun () ->
-        let outcome = protect g c in
-        Mutex.lock t.lock;
-        outcomes.(c) <- outcome;
-        remaining := !remaining - 1;
-        if !remaining = 0 then Condition.broadcast all_done;
-        Mutex.unlock t.lock)
-  done;
-  Mutex.lock t.lock;
-  while !remaining > 0 do
-    Condition.wait all_done t.lock
-  done;
-  Mutex.unlock t.lock;
-  reraise_first outcomes
-
-let run_chunks t ?chunks ~n f =
-  if n <= 0 then ()
-  else begin
-    let chunks = effective_chunks t ?chunks n in
-    if t.size = 0 || chunks = 1 then f 0 n
-    else
-      barrier_chunks t ~chunks (fun c ->
-          let lo, hi = chunk_bounds ~n ~chunks c in
-          run_shard f lo hi)
-  end
-
-let reduce_chunks t ?chunks ~n f =
-  if n <= 0 then 0.
-  else begin
-    let chunks = effective_chunks t ?chunks n in
-    if chunks = 1 then f 0 n
-    else if t.size = 0 then begin
-      (* Sequential pool, explicit chunking: compute the same partials
-         in the calling domain so the float association — and therefore
-         the result — depends only on (n, chunks), never on the pool
-         size. *)
-      let acc = ref 0. in
-      for c = 0 to chunks - 1 do
-        let lo, hi = chunk_bounds ~n ~chunks c in
-        acc := !acc +. f lo hi
-      done;
-      !acc
-    end
-    else begin
-      let partials = Array.make chunks 0. in
-      barrier_chunks t ~chunks (fun c ->
-          let lo, hi = chunk_bounds ~n ~chunks c in
-          partials.(c) <- run_shard f lo hi);
-      (* Combine in ascending chunk order: deterministic for a given
-       chunk count. *)
-      let acc = ref 0. in
-      for c = 0 to chunks - 1 do
-        acc := !acc +. partials.(c)
-      done;
-      !acc
-    end
-  end
 
 let with_pool ~jobs f =
   let t = create ~jobs in

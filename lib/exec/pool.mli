@@ -1,30 +1,18 @@
 (** Shared fixed-size domain pool with a mutex/condvar work queue.
 
-    This is the execution substrate shared by the batch campaign engine
-    and the online service: a set of worker domains blocking on a
-    condition variable until tasks arrive.  Three usage shapes are
-    supported:
-
-    - {!map_array}/{!map_outcomes}: distribute an array of independent
-      computations and collect results *in input order*, whatever the
-      completion order.  Exceptions are deterministic — always the one
-      attached to the smallest failing input index.
-    - {!run_chunks}: a barrier parallel-for over an index range [0, n),
-      split into contiguous chunks whose boundaries depend only on [n]
-      and the chunk count, so writes to disjoint per-index slots are
-      bit-identical to a sequential loop.
-    - {!reduce_chunks}: chunked float reduction whose partials are
-      combined in ascending chunk order, so the result is deterministic
-      for a given chunk count (and within rounding of the sequential
-      sum).
+    This is the execution substrate of the batch campaign engine and of
+    [Theory.Bnb]'s parallel subtree search: a set of worker domains
+    blocking on a condition variable until tasks arrive.  One usage
+    shape is supported, the ordered map: {!map_array}/{!map_outcomes}
+    distribute an array of independent computations and collect results
+    {e in input order}, whatever the completion order.  Exceptions are
+    deterministic — always the one attached to the smallest failing
+    input index.
 
     With [jobs <= 1] no domain is spawned and everything runs in the
     calling domain, in index order — byte-for-byte the sequential
     behaviour.  When observability probes are enabled ({!Obs.Probe.on})
-    the pool records dispatched tasks, parallel sections, worker idle
-    waits and a per-shard wall-time histogram, and each shard runs under
-    an ["exec.shard"] span so traces show shard balance per worker
-    lane. *)
+    the pool counts dispatched tasks and worker idle waits. *)
 
 type t
 (** A pool of worker domains.  Values of this type must be released with
@@ -43,8 +31,8 @@ val default_jobs : unit -> int
 
 val submit : t -> (unit -> unit) -> unit
 (** [submit t job] enqueues [job] for execution by a worker domain.
-    Raw building block for the structured operations below; the caller
-    is responsible for any completion signalling. *)
+    Raw building block for the ordered maps below; the caller is
+    responsible for any completion signalling. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f a] applies [f] to every element of [a] on the pool's
@@ -58,37 +46,6 @@ val map_outcomes :
     captured in its own slot instead of aborting the map, so one raising
     task never costs the results of the others.  Never raises (short of
     asserts); results are in input order. *)
-
-val run_chunks : t -> ?chunks:int -> n:int -> (int -> int -> unit) -> unit
-(** [run_chunks t ~n f] splits the index range [0, n) into at most
-    [chunks] (default: pool size) contiguous chunks and calls
-    [f lo hi] for each half-open chunk [\[lo, hi)] on the workers,
-    returning once every chunk has finished (a barrier).  Chunk
-    boundaries are a pure function of [n] and the chunk count
-    ([n / chunks] indices each, the remainder spread over the leading
-    chunks), so a kernel writing disjoint per-index slots produces
-    bit-identical memory whatever the pool size.  On a sequential pool
-    (or [chunks <= 1], or [n <= 0] where it is a no-op) this is exactly
-    [f 0 n] in the calling domain.  If chunks raise, the exception of
-    the smallest chunk index is re-raised after the barrier. *)
-
-val chunk_bounds : n:int -> chunks:int -> int -> int * int
-(** [chunk_bounds ~n ~chunks c] is the half-open range [\[lo, hi)] of
-    chunk [c] over [0, n): [n / chunks] indices each with the remainder
-    spread over the leading chunks.  Pure — this is the boundary
-    function {!run_chunks} and {!reduce_chunks} use, exposed so callers
-    can replicate the exact chunked association without a pool. *)
-
-val reduce_chunks : t -> ?chunks:int -> n:int -> (int -> int -> float) -> float
-(** [reduce_chunks t ~n f] evaluates [f lo hi] — a float accumulation
-    over the half-open index chunk [\[lo, hi)] — for the same
-    deterministic chunking as {!run_chunks}, and sums the partials in
-    ascending chunk order with [+.].  With an explicit [chunks] the
-    result is a pure function of [(n, chunks)] whatever the pool size —
-    a sequential pool computes the identical partials in the calling
-    domain — and equals the plain [f 0 n] up to float re-association.
-    With the default chunk count (the pool size) a sequential pool runs
-    exactly [f 0 n]; [n <= 0] returns [0.]. *)
 
 val shutdown : t -> unit
 (** Drains the queue, then joins every worker domain.  Idempotent.

@@ -281,14 +281,8 @@ type mode = Warm
 (* The warm re-solve rewritten against {!State.view}: every per-position
    pass reads the state's flat columns and writes a position-indexed
    scratch buffer, so a re-solve materializes no [Model.App.t] values at
-   all.  The three embarrassingly parallel passes — weight/ratio fill,
-   work-cost fill and processor-share fill — optionally shard across an
-   {!Exec.Pool}; each shard writes disjoint positions and all reductions
-   (demand sum, Kahan processor total) stay sequential, so the sharded
-   result is bit-identical to the sequential one whatever the pool size
-   or chunking.  [shard_min] keeps small instances on the sequential
-   path where fan-out overhead would dominate. *)
-let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
+   all. *)
+let solve_state t ~elapsed ~state =
   let v = State.view state in
   let n = v.State.v_n in
   if n = 0 then invalid_arg "Incremental.solve_state: empty instance";
@@ -307,14 +301,6 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   let ls = platform.Model.Platform.ls in
   let ll = platform.Model.Platform.ll in
   let slot = v.State.v_slot in
-  let pool =
-    match pool with
-    | Some p when n >= shard_min && Exec.Pool.size p > 0 -> Some p
-    | _ -> None
-  in
-  let shard f =
-    match pool with Some p -> Exec.Pool.run_chunks p ~n f | None -> f 0 n
-  in
   let ratio = t.ratio and weightv = t.weight in
   let xbuf = t.xbuf and sbuf = t.sbuf and cbuf = t.cbuf in
   let abuf = t.abuf and pbuf = t.pbuf in
@@ -322,21 +308,20 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
      {!Theory.Dominant}'s arithmetic on the residual application
      [w = remaining * w0]; [d] and [d ** (1/alpha)] come cached from the
      state columns. *)
-  shard (fun lo hi ->
-      for i = lo to hi - 1 do
-        let s = slot.(i) in
-        let d = v.State.v_d.(s) in
-        let w =
-          (v.State.v_remaining.(s) *. v.State.v_w.(s) *. v.State.v_f.(s) *. d)
-          ** (1. /. (alpha +. 1.))
-        in
-        let r =
-          if d = 0. then if w > 0. then infinity else 0.
-          else w /. v.State.v_dpow.(s)
-        in
-        weightv.(i) <- w;
-        ratio.(i) <- r
-      done);
+  for i = 0 to n - 1 do
+    let s = slot.(i) in
+    let d = v.State.v_d.(s) in
+    let w =
+      (v.State.v_remaining.(s) *. v.State.v_w.(s) *. v.State.v_f.(s) *. d)
+      ** (1. /. (alpha +. 1.))
+    in
+    let r =
+      if d = 0. then if w > 0. then infinity else 0.
+      else w /. v.State.v_dpow.(s)
+    in
+    weightv.(i) <- w;
+    ratio.(i) <- r
+  done;
   t.counters.partition_ops <- t.counters.partition_ops + (2 * n);
   let b = warm_boundary t ~n ~slot ~gen:v.State.v_gen in
   (* Capped water-filling over the dominant suffix —
@@ -394,26 +379,25 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   (* Pass 2 — access and residual work cost at the chosen cache split
      (the Eq. (2) chain inlined over the columns), plus the sequential
      fractions the root-finder reads. *)
-  shard (fun lo hi ->
-      for i = lo to hi - 1 do
-        let s = slot.(i) in
-        let x = xbuf.(i) in
-        let eff = Float.min (x *. cs) v.State.v_fp.(s) in
-        let m0 = v.State.v_m0.(s) in
-        let miss =
-          if m0 = 0. then 0.
-          else if eff = 0. then 1.
-          else Float.min 1. (m0 *. ((v.State.v_c0.(s) /. eff) ** alpha))
-        in
-        let access = 1. +. (v.State.v_f.(s) *. (ls +. (ll *. miss))) in
-        abuf.(i) <- access;
-        cbuf.(i) <- v.State.v_remaining.(s) *. v.State.v_w.(s) *. access;
-        sbuf.(i) <- v.State.v_s.(s)
-      done);
-  (* Residual parallel demand [D = sum (1-s_i) c_i], sequentially, in
-     position order — the makespan scales near-linearly with it, so
-     [prev_k * D/prev_D] predicts the new root far better than ageing
-     the old one by wall-clock progress. *)
+  for i = 0 to n - 1 do
+    let s = slot.(i) in
+    let x = xbuf.(i) in
+    let eff = Float.min (x *. cs) v.State.v_fp.(s) in
+    let m0 = v.State.v_m0.(s) in
+    let miss =
+      if m0 = 0. then 0.
+      else if eff = 0. then 1.
+      else Float.min 1. (m0 *. ((v.State.v_c0.(s) /. eff) ** alpha))
+    in
+    let access = 1. +. (v.State.v_f.(s) *. (ls +. (ll *. miss))) in
+    abuf.(i) <- access;
+    cbuf.(i) <- v.State.v_remaining.(s) *. v.State.v_w.(s) *. access;
+    sbuf.(i) <- v.State.v_s.(s)
+  done;
+  (* Residual parallel demand [D = sum (1-s_i) c_i], in position order —
+     the makespan scales near-linearly with it, so [prev_k * D/prev_D]
+     predicts the new root far better than ageing the old one by
+     wall-clock progress. *)
   let d_tot = ref 0. in
   for i = 0 to n - 1 do
     d_tot := !d_tot +. ((1. -. sbuf.(i)) *. cbuf.(i))
@@ -442,8 +426,7 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   end;
   let iters = ref 0 in
   let k =
-    Sched.Equalize.solve_cols ?warm ~iters ?pool ~platform ~s:sbuf ~costs:cbuf
-      ~n ()
+    Sched.Equalize.solve_cols ?warm ~iters ~platform ~s:sbuf ~costs:cbuf ~n ()
   in
   t.counters.solver_iters <- t.counters.solver_iters + !iters;
   t.prev_k <- Some k;
@@ -453,11 +436,10 @@ let solve_state t ?pool ?(shard_min = 4096) ~elapsed ~state () =
   (* Pass 3 — equalising processor shares [p_i = (1-s_i)/(K/c_i - s_i)],
      then the exact-conservation rescale with the same Kahan total as
      {!Sched.Equalize.schedule_k}. *)
-  shard (fun lo hi ->
-      for i = lo to hi - 1 do
-        let denom = (k /. cbuf.(i)) -. sbuf.(i) in
-        pbuf.(i) <- (if denom <= 0. then infinity else (1. -. sbuf.(i)) /. denom)
-      done);
+  for i = 0 to n - 1 do
+    let denom = (k /. cbuf.(i)) -. sbuf.(i) in
+    pbuf.(i) <- (if denom <= 0. then infinity else (1. -. sbuf.(i)) /. denom)
+  done;
   let total = Util.Floatx.sum_array ~n pbuf in
   let factor = platform.Model.Platform.p /. total in
   for i = 0 to n - 1 do

@@ -118,8 +118,7 @@ type mode = Warm
     one. *)
 
 val solve_state :
-  t -> ?pool:Exec.Pool.t -> ?shard_min:int -> elapsed:float ->
-  state:State.t -> unit -> float * int
+  t -> elapsed:float -> state:State.t -> float * int
 (** The warm re-solve on {!State}'s columns directly — the service's hot
     path.  Reads the live set through {!State.view} (no per-job
     [Model.App.t] materialization), computes the partition by the
@@ -131,12 +130,7 @@ val solve_state :
     the residual parallel demand [sum (1-s_i) c_i]), and installs the
     allocations through {!State.apply_view}.  Returns [(k, migrations)].
 
-    The three per-position passes (weight/ratio, work costs, processor
-    shares) shard across [pool] when it is given, has workers, and
-    [n >= shard_min] (default 4096); every shard writes disjoint
-    positions and all reductions stay sequential, so the result is
-    bit-identical to the sequential path for any pool size and chunking
-    (QCheck-enforced under churn).  Counts its work in the
-    {!counters} and updates the warm state ([elapsed] ages the seed on
+    Every pass is one loop over the positions in the calling domain.
+    Counts its work in the {!counters} and updates the warm state ([elapsed] ages the seed on
     the fallback path when no demand scale is carried yet).
     @raise Invalid_argument on an empty live set. *)

@@ -62,9 +62,6 @@ type live = {
   state : State.t;
   engine : Simulator.Engine.t;
   inc : Incremental.t;
-  pool : Exec.Pool.t option;
-      (* shared domain pool for sharded re-solve passes, if any *)
-  shard_min : int;  (* live-set size below which re-solves stay sequential *)
   jobs_by_id : (int, State.job) Hashtbl.t;
   listener : (notice -> unit) option;
   mutable events_since : int;
@@ -75,10 +72,7 @@ type live = {
   mutable basis : stats_basis option;  (* Some after a live_restore *)
 }
 
-let default_shard_min = 4096
-
-let live_create ?(config = default_config) ?pool ?(shard_min = default_shard_min)
-    ?listener ~platform () =
+let live_create ?(config = default_config) ?listener ~platform () =
   Policy.validate config.policy;
   {
     config;
@@ -86,8 +80,6 @@ let live_create ?(config = default_config) ?pool ?(shard_min = default_shard_min
     state = State.create platform;
     engine = Simulator.Engine.create ();
     inc = Incremental.create ();
-    pool;
-    shard_min;
     jobs_by_id = Hashtbl.create 64;
     listener;
     events_since = 0;
@@ -135,11 +127,9 @@ let resolve lv ~is_forced () =
     (* The anchor is the last install instant: [solve_state]'s view
        settles the live set and moves it to [now]. *)
     let elapsed = now -. State.anchor lv.state in
-    (* Columnar hot path: no per-job materialization, sharded over the
-       pool when the live set is large enough. *)
+    (* Columnar hot path: no per-job materialization. *)
     let k, migrations =
-      Incremental.solve_state lv.inc ?pool:lv.pool ~shard_min:lv.shard_min
-        ~elapsed ~state:lv.state ()
+      Incremental.solve_state lv.inc ~elapsed ~state:lv.state
     in
     lv.migrations <- lv.migrations + migrations;
     if is_forced then lv.forced <- lv.forced + 1;
@@ -435,8 +425,7 @@ let live_persist lv =
     p_jobs = jobs;
   }
 
-let live_restore ?(config = default_config) ?pool
-    ?(shard_min = default_shard_min) ?listener ~platform p =
+let live_restore ?(config = default_config) ?listener ~platform p =
   Policy.validate config.policy;
   let lv =
     {
@@ -445,8 +434,6 @@ let live_restore ?(config = default_config) ?pool
       state = State.create platform;
       engine = Simulator.Engine.create ();
       inc = Incremental.create ();
-      pool;
-      shard_min;
       jobs_by_id = Hashtbl.create 64;
       listener;
       events_since = p.p_events_since;
@@ -499,8 +486,8 @@ let live_restore ?(config = default_config) ?pool
   schedule_next_completion lv;
   lv
 
-let run ?(config = default_config) ?pool ?shard_min ~platform stream =
-  let lv = live_create ~config ?pool ?shard_min ~platform () in
+let run ?(config = default_config) ~platform stream =
+  let lv = live_create ~config ~platform () in
   List.iter
     (fun { Workload_stream.time; kind } ->
       match kind with

@@ -70,18 +70,13 @@ type live
     engine, the warm {!Incremental} re-solver and the run counters. *)
 
 val live_create :
-  ?config:config -> ?pool:Exec.Pool.t -> ?shard_min:int ->
-  ?listener:(notice -> unit) -> platform:Model.Platform.t ->
+  ?config:config -> ?listener:(notice -> unit) -> platform:Model.Platform.t ->
   unit -> live
 (** Fresh instance at model time 0.  The optional [listener] is invoked
     synchronously on every re-solve and completion; on a [Resolved]
     notice {!live_state} already holds the new allocations (the online
-    tests' per-re-solve cold oracle reads them there).
-
-    [pool], when given, shards the per-job passes of every warm re-solve
-    across its worker domains once the live set reaches [shard_min]
-    jobs (default 4096) — bit-identical to the sequential path (see
-    {!Incremental.solve_state}); the caller owns the pool's lifetime.
+    tests' per-re-solve cold oracle reads them there).  Every re-solve
+    runs {!Incremental.solve_state} in the calling domain.
     @raise Invalid_argument on an invalid [config.policy]. *)
 
 val live_now : live -> float
@@ -227,21 +222,18 @@ val live_persist : live -> persist
     read-only; the instance keeps running. *)
 
 val live_restore :
-  ?config:config -> ?pool:Exec.Pool.t -> ?shard_min:int ->
-  ?listener:(notice -> unit) -> platform:Model.Platform.t ->
+  ?config:config -> ?listener:(notice -> unit) -> platform:Model.Platform.t ->
   persist -> live
 (** Rebuild a live instance from a checkpoint (see above for the
-    bit-identical-evolution guarantee).  [config], [listener] and the
-    sharding [pool] are supplied fresh — they are process-level
-    concerns, not model state.
+    bit-identical-evolution guarantee).  [config] and [listener] are
+    supplied fresh — they are process-level concerns, not model
+    state.
     @raise Invalid_argument on an invalid [config.policy] or a malformed
     checkpoint (out-of-order job ids, negative clock, an anchor
     [p_last_solve] outside [[0, p_time]]). *)
 
 val run :
-  ?config:config -> ?pool:Exec.Pool.t -> ?shard_min:int ->
-  platform:Model.Platform.t -> Workload_stream.t -> report
+  ?config:config -> platform:Model.Platform.t -> Workload_stream.t -> report
 (** Replay the stream to completion through a fresh live instance (every
     admitted job either completes or is cancelled).  Deterministic: a
-    pure function of the platform, stream and config — with or without a
-    sharding [pool] (see {!live_create}). *)
+    pure function of the platform, stream and config. *)

@@ -30,10 +30,10 @@ type state = {
 let last_bracket = [| Float.nan |]
 
 (* Chunk width of the demand-sum association.  Instances up to one chunk
-   sum in a plain loop; larger ones always sum per-chunk partials in
-   ascending chunk order — the same association whether the chunks run
-   sequentially or across a pool, so sharding the evaluation is
-   bit-identical to not sharding it. *)
+   sum in a plain loop; larger ones sum per-chunk partials in ascending
+   chunk order.  The chunking stays, in one domain, because makespans
+   above 2048 jobs were recorded with it (test_online pins two at
+   n = 2500) and a plain left fold would move their last bits. *)
 let eval_chunk = 2048
 
 (* Solve [sum_i (1-s_i)/(K/c_i - s_i) = p] for [K] over the columns
@@ -45,7 +45,7 @@ let eval_chunk = 2048
    ([illinois = false], the paper entries) or Illinois false position
    ([illinois = true], {!solve_cols}).  Both stop at the same
    [hi - lo <= tol * (1 + |mid|)] criterion. *)
-let root ~illinois ?(tol = 1e-13) ?warm ?iters ?pool ~platform
+let root ~illinois ?(tol = 1e-13) ?warm ?iters ~platform
     ~(s : float array) ~(costs : float array) ~n () =
   if n = 0 then invalid_arg "Equalize: empty instance";
   let p = platform.Model.Platform.p in
@@ -54,48 +54,24 @@ let root ~illinois ?(tol = 1e-13) ?warm ?iters ?pool ~platform
     { k = 0.; fk = 0.; lo = 0.; flo = 0.; hi = 0.; fhi = 0.; acc = 0. }
   in
   let chunks = ((n - 1) / eval_chunk) + 1 in
-  let pool =
-    match pool with
-    | Some ep when chunks > 1 && Exec.Pool.size ep > 0 -> Some ep
-    | _ -> None
-  in
-  (* Excess processor demand at [st.k], into [st.fk].  Workers read
-     [st.k] after the dispatching barrier's lock, so the read is ordered
-     after the coordinator's write. *)
+  let base = n / chunks and rem = n mod chunks in
+  (* Excess processor demand at [st.k], into [st.fk]: [chunks] contiguous
+     chunks, the remainder spread over the leading ones. *)
   let eval () =
     incr count;
-    (match pool with
-    | Some ep ->
-      (* The chunk loop appears twice: returning each partial from one
-         shared function would box a float per chunk per evaluation on
-         the sequential path. *)
-      st.acc <-
-        Exec.Pool.reduce_chunks ep ~chunks ~n (fun lo hi ->
-            let part = ref 0. in
-            for i = lo to hi - 1 do
-              let si = Array.unsafe_get s i in
-              let denom = (st.k /. Array.unsafe_get costs i) -. si in
-              part :=
-                !part +. (if denom <= 0. then infinity else (1. -. si) /. denom)
-            done;
-            !part)
-    | None ->
-      (* {!Exec.Pool.chunk_bounds} inlined: its tuple would allocate on
-         every evaluation. *)
-      let base = n / chunks and rem = n mod chunks in
-      st.acc <- 0.;
-      for c = 0 to chunks - 1 do
-        let lo = (c * base) + if c < rem then c else rem in
-        let hi = lo + base + if c < rem then 1 else 0 in
-        let part = ref 0. in
-        for i = lo to hi - 1 do
-          let si = Array.unsafe_get s i in
-          let denom = (st.k /. Array.unsafe_get costs i) -. si in
-          part :=
-            !part +. (if denom <= 0. then infinity else (1. -. si) /. denom)
-        done;
-        st.acc <- st.acc +. !part
-      done);
+    st.acc <- 0.;
+    for c = 0 to chunks - 1 do
+      let lo = (c * base) + if c < rem then c else rem in
+      let hi = lo + base + if c < rem then 1 else 0 in
+      let part = ref 0. in
+      for i = lo to hi - 1 do
+        let si = Array.unsafe_get s i in
+        let denom = (st.k /. Array.unsafe_get costs i) -. si in
+        part :=
+          !part +. (if denom <= 0. then infinity else (1. -. si) /. denom)
+      done;
+      st.acc <- st.acc +. !part
+    done;
     st.fk <- st.acc -. p;
     if Float.is_nan st.fk then
       raise (Util.Solver.Non_finite { fn = "equalize"; x = st.k })
@@ -257,8 +233,8 @@ let root ~illinois ?(tol = 1e-13) ?warm ?iters ?pool ~platform
       if st.fk = 0. then st.k else refine k_lo st.k f_klo st.fk
   end
 
-let solve_cols ?tol ?warm ?iters ?pool ~platform ~s ~costs ~n () =
-  root ~illinois:true ?tol ?warm ?iters ?pool ~platform ~s ~costs ~n ()
+let solve_cols ?tol ?warm ?iters ~platform ~s ~costs ~n () =
+  root ~illinois:true ?tol ?warm ?iters ~platform ~s ~costs ~n ()
 
 (* --- the paper entries: cold bisection, instrumented ------------------- *)
 

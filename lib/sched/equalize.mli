@@ -70,7 +70,7 @@ val solve_with_costs :
     @raise Invalid_argument if [n = 0]. *)
 
 val solve_cols :
-  ?tol:float -> ?warm:float -> ?iters:int ref -> ?pool:Exec.Pool.t ->
+  ?tol:float -> ?warm:float -> ?iters:int ref ->
   platform:Model.Platform.t -> s:float array ->
   costs:float array -> n:int -> unit -> float
 (** The online entry of the root-finder, for the service's flat-array
@@ -95,12 +95,10 @@ val solve_cols :
 
     The demand sum is chunked at a fixed width (2048 positions) whenever
     [n] exceeds one chunk, with per-chunk partials combined in ascending
-    order — the association depends only on [n], never on [pool].
-    Passing a [pool] with workers runs the chunks in parallel
-    ({!Exec.Pool.reduce_chunks}); omitting it, or passing a sequential
-    pool, runs the identical chunked sum in the calling domain, so the
-    returned makespan is bit-identical across all pool configurations
-    (QCheck-enforced).
+    order, so the association depends only on [n].  The chunks run in
+    the calling domain; the chunked association is kept so that
+    makespans above 2048 jobs stay bit-identical to those recorded
+    with it ([test_online]'s n = 2500 golden pins two of them).
     @raise Invalid_argument if [n = 0]. *)
 
 val procs_at :

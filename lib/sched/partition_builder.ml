@@ -39,14 +39,22 @@ let dominant cols subset =
   done;
   !i = n
 
-(* The choice function over the non-empty candidate mask [cand], read in
-   index order: [Random] draws from the index-ordered candidate list as
-   Util.Rng.pick does; [MinRatio]/[MaxRatio] keep the first candidate
-   unless a later one is strictly better, so ties go to the lowest
-   index. *)
-let pick choice ~rng cols cand =
+(* The choice function over the candidate mask [cand], which holds
+   [m > 0] candidates, read in index order: [Random] takes the
+   [Util.Rng.int rng m]-th candidate, the draw Util.Rng.pick makes on the
+   index-ordered candidate list, without building the list;
+   [MinRatio]/[MaxRatio] keep the first candidate unless a later one is
+   strictly better, so ties go to the lowest index. *)
+let pick choice ~rng cols cand ~m =
   match choice with
-  | Choice.Random -> Util.Rng.pick rng (Theory.Dominant.indices cand)
+  | Choice.Random ->
+    let target = Util.Rng.int rng m in
+    let i = ref (-1) and seen = ref (-1) in
+    while !seen < target do
+      incr i;
+      if cand.(!i) then incr seen
+    done;
+    !i
   | Choice.MinRatio | Choice.MaxRatio ->
     let want_max = choice = Choice.MaxRatio in
     let n = Array.length cand in
@@ -81,7 +89,7 @@ let build_dominant ?ops choice ~rng cols n =
       tick m;
       (* dominance check *)
       if not (dominant cols subset) then begin
-        let k = pick choice ~rng cols subset in
+        let k = pick choice ~rng cols subset ~m in
         tick m;
         (* eviction scan *)
         subset.(k) <- false;
@@ -99,7 +107,7 @@ let build_dominant_rev choice ~rng cols n =
   let rest = Array.make n true in
   let rec loop left =
     if left > 0 then begin
-      let k = pick choice ~rng cols rest in
+      let k = pick choice ~rng cols rest ~m:left in
       rest.(k) <- false;
       trial.(k) <- true;
       if dominant cols trial then loop (left - 1) else trial.(k) <- false

@@ -75,7 +75,7 @@ let resolve o =
     in
     ignore
       (Online.Incremental.solve_state o.o_inc ~elapsed:(o.o_clock -. o.o_last_solve)
-         ~state:st ());
+         ~state:st);
     List.iter2
       (fun j h ->
         j.o_procs <- Online.State.procs h;

@@ -213,7 +213,7 @@ let qcheck_warm_partition_matches_cold =
       let st = Online.State.create platform in
       Array.iter (fun app -> ignore (Online.State.add st ~app)) (synth ~seed n);
       let inc = Online.Incremental.create () in
-      ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
+      ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st);
       let jobs = Online.State.live st in
       let cold =
         Oracle.Cold.partition ~platform
@@ -265,7 +265,7 @@ let run_service ~policy stream =
 
 (* Replay [stream] through a live instance as {!Online.Service.run} does,
    calling [on_resolve] with the instance after every re-solve. *)
-let replay ?pool ?shard_min ~policy ~on_resolve stream =
+let replay ~policy ~on_resolve stream =
   let config = { Online.Service.default_config with policy; validate = true } in
   let lv = ref None in
   let listener = function
@@ -273,7 +273,7 @@ let replay ?pool ?shard_min ~policy ~on_resolve stream =
     | Online.Service.Completed _ -> ()
   in
   let live =
-    Online.Service.live_create ~config ?pool ?shard_min ~listener ~platform ()
+    Online.Service.live_create ~config ~listener ~platform ()
   in
   lv := Some live;
   List.iter
@@ -388,89 +388,33 @@ let warm_service_saves_solver_work () =
     (Printf.sprintf "warm %d < cold %d" warm cold)
     true (warm < cold)
 
-(* --- Sharded re-solve passes ------------------------------------------- *)
+(* --- The chunked demand sum --------------------------------------------- *)
 
-(* Drive one churned instance through two columnar re-solves and capture
-   everything the solver wrote.  [jobs = 0] means no pool at all; the
-   captured trace must be structurally identical — float bit-compare via
-   (=) — whatever the pool size, because every sharded pass writes
-   disjoint positions and every reduction keeps a pool-independent
-   association. *)
-let sharded_trace ~n ~jobs () =
-  let run pool =
-    let state = Online.State.create platform in
-    let inc = Online.Incremental.create () in
-    let apps = synth ~seed:31 (n + (n / 4) + 1) in
-    for i = 0 to n - 1 do
-      ignore (Online.State.add state ~app:apps.(i))
-    done;
-    let solve ~elapsed =
-      Online.Incremental.solve_state inc ?pool ~shard_min:1 ~elapsed ~state ()
-    in
-    let k1, m1 = solve ~elapsed:0. in
-    let dt = 0.25 *. (Online.State.next_finish state -. Online.State.now state) in
-    Online.State.advance state ~to_:dt;
-    Array.iteri
-      (fun i j -> if i mod 5 = 2 then Online.State.cancel state j)
-      (Online.State.live state);
-    for i = n to n + (n / 4) do
-      ignore (Online.State.add state ~app:apps.(i))
-    done;
-    let k2, m2 = solve ~elapsed:dt in
-    let live = Online.State.live state in
-    ( (k1, m1, k2, m2),
-      Array.map Online.State.procs live,
-      Array.map Online.State.cache live )
-  in
-  if jobs = 0 then run None
-  else Exec.Pool.with_pool ~jobs (fun p -> run (Some p))
-
-let sharded_solve_state_bit_identical () =
-  (* n = 12 stays on single-chunk demand sums; n = 2500 crosses the
-     solver's 2048-wide eval chunk, so the chunked association itself is
-     exercised with and without worker domains. *)
-  List.iter
-    (fun n ->
-      let reference = sharded_trace ~n ~jobs:0 () in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check bool)
-            (Printf.sprintf "n=%d pool=%d == sequential" n jobs)
-            true
-            (sharded_trace ~n ~jobs () = reference))
-        [ 1; 2; 8 ])
-    [ 12; 2500 ]
-
-let qcheck_sharded_equals_sequential_service =
-  (* Full service runs under churn: a sharding pool (sizes 1, 2, 8 with
-     shard_min 1, so every re-solve shards) commits bit-identical
-     allocations at every re-solve, and metrics, to the unsharded run. *)
-  QCheck.Test.make ~name:"sharded service run == sequential (pool 1/2/8)"
-    ~count:12
-    QCheck.(pair (int_bound 10_000) (oneofl [ 1; 2; 8 ]))
-    (fun (seed, jobs) ->
-      let stream = stream_of ~seed ~load:3. 12 in
-      (* Every re-solve's (ids, procs, cache, k), newest first. *)
-      let run ?pool () =
-        let trace = ref [] in
-        let on_resolve lv =
-          let live = Online.State.live (Online.Service.live_state lv) in
-          trace :=
-            ( Array.map Online.State.id live,
-              Array.map Online.State.procs live,
-              Array.map Online.State.cache live,
-              Online.Service.last_makespan lv )
-            :: !trace
-        in
-        let m =
-          replay ?pool ~shard_min:1 ~policy:Online.Policy.Every_event
-            ~on_resolve stream
-        in
-        (m, !trace)
-      in
-      let seq = run () in
-      let shd = Exec.Pool.with_pool ~jobs (fun pool -> run ~pool ()) in
-      seq = shd)
+(* Two columnar re-solves of one churned instance at n = 2500, which
+   crosses the root-finder's 2048-wide demand chunk, against makespans
+   recorded with the chunked sum.  Any change to the sum's float
+   association moves their last bits and fails here. *)
+let chunked_resolves_match_recorded () =
+  let n = 2500 in
+  let state = Online.State.create platform in
+  let inc = Online.Incremental.create () in
+  let apps = synth ~seed:31 (n + (n / 4) + 1) in
+  for i = 0 to n - 1 do
+    ignore (Online.State.add state ~app:apps.(i))
+  done;
+  let k1, _ = Online.Incremental.solve_state inc ~elapsed:0. ~state in
+  let dt = 0.25 *. (Online.State.next_finish state -. Online.State.now state) in
+  Online.State.advance state ~to_:dt;
+  Array.iteri
+    (fun i j -> if i mod 5 = 2 then Online.State.cancel state j)
+    (Online.State.live state);
+  for i = n to n + (n / 4) do
+    ignore (Online.State.add state ~app:apps.(i))
+  done;
+  let k2, _ = Online.Incremental.solve_state inc ~elapsed:dt ~state in
+  let bits = Alcotest.(check string) in
+  bits "k1" "0x1.28149d419c994p+42" (Printf.sprintf "%h" k1);
+  bits "k2" "0x1.f91b5b8bb5406p+41" (Printf.sprintf "%h" k2)
 
 (* --- the flat per-event integrator as an oracle -------------------------- *)
 
@@ -690,11 +634,10 @@ let () =
           qtest qcheck_warm_matches_cold_oracle;
           test "warm saves solver work" warm_service_saves_solver_work;
         ] );
-      ( "sharding",
+      ( "chunking",
         [
-          test "solve_state bit-identical across pools"
-            sharded_solve_state_bit_identical;
-          qtest qcheck_sharded_equals_sequential_service;
+          test "n=2500 makespans match literals"
+            chunked_resolves_match_recorded;
         ] );
       ( "oracle",
         [

@@ -167,7 +167,7 @@ let kernel_threshold_exact () =
 (* After a columnar re-solve, the jobs holding cache are exactly the
    subset the cold eviction loop picks on the same residual apps. *)
 let solve_state_matches_cold inc st =
-  ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
+  ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st);
   let jobs = Online.State.live st in
   let cold =
     Oracle.Cold.partition ~platform
@@ -272,7 +272,7 @@ let disordered_carry_bails () =
   let solve seed =
     let st = Online.State.create platform in
     Array.iter (fun app -> ignore (Online.State.add st ~app)) (random_apps ~seed n);
-    ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st ());
+    ignore (Online.Incremental.solve_state inc ~elapsed:0. ~state:st);
     Alcotest.(check bool) "fresh sort" true (order_is_fresh_sort inc st)
   in
   let c = Online.Incremental.counters inc in
