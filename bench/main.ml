@@ -357,6 +357,54 @@ let bench_paper cfg =
     (measure cfg ~name:"Coschedule_sim.run/n=64" ~reps:500 (fun () ->
          Simulator.Coschedule_sim.run schedule))
 
+(* The warm re-solve under churn on the paper's node with a 10^5-byte
+   cache, where most jobs are evicted, so the dominant boundary's
+   selection runs over most of the live set.  One op is a sliver of
+   progress, eight cancel-oldest/submit pairs and one re-solve at [n]
+   live jobs.  Its gate is counted, not timed: in every re-solve the
+   selection visits at most [select_bound] candidates per live job (4.7
+   at seed 2017; a pivot that is always the smallest candidate visits
+   thousands). *)
+let select_bound = 6.
+
+let bench_churn_resolve cfg ~n ~reps =
+  let platform = Model.Platform.make ~p:256. ~cs:1e5 () in
+  let pool =
+    Model.Workload.generate ~rng:(Util.Rng.create cfg.seed)
+      Model.Workload.NpbSynth (n + 256)
+  in
+  let st = Online.State.create platform in
+  let jobs = Queue.create () in
+  let next = ref 0 in
+  let admit () =
+    Queue.push (Online.State.add st ~app:pool.(!next mod Array.length pool)) jobs;
+    incr next
+  in
+  for _ = 1 to n do
+    admit ()
+  done;
+  let inc = Online.Incremental.create () in
+  let c = Online.Incremental.counters inc in
+  let k0, _ = Online.Incremental.solve_state inc ~elapsed:0. ~state:st in
+  let dt = k0 *. 1e-7 and worst = ref 0. in
+  ignore
+    (measure cfg ~name:(Printf.sprintf "solve_state/churn-cs1e5-%d" n) ~reps
+       (fun () ->
+         Online.State.advance st ~to_:(Online.State.now st +. dt);
+         for _ = 1 to 8 do
+           Online.State.cancel st (Queue.pop jobs);
+           admit ()
+         done;
+         let ops0 = c.Online.Incremental.select_ops in
+         let k, _ = Online.Incremental.solve_state inc ~elapsed:dt ~state:st in
+         worst :=
+           Float.max !worst
+             (float_of_int (c.Online.Incremental.select_ops - ops0) /. float_of_int n);
+         sink := !sink +. k;
+         k)
+      : sample);
+  !worst
+
 let solver cfg =
   print_endline "== solver: ns/op and minor words/op ==";
   let apps, x_star = fixture cfg in
@@ -365,6 +413,9 @@ let solver cfg =
   let paper, cols = bench_zero_alloc cfg apps x_star in
   let reference, optimized = bench_refine cfg apps x_star in
   bench_partition cfg apps;
+  let select_3k = bench_churn_resolve cfg ~n:3_000 ~reps:400 in
+  let select_20k = bench_churn_resolve cfg ~n:20_000 ~reps:40 in
+  let select_worst = Float.max select_3k select_20k in
   let arrival_small = arrival_words ~live:96 in
   let arrival_big = arrival_words ~live:1920 in
   bench_paper cfg;
@@ -406,6 +457,8 @@ let solver cfg =
       ("arrival_words_gap", arrival_gap);
       ("dominant_rev_words_ratio_256_64", rev_words_ratio);
       ("dominant_rev_random_words_ratio_256_64", rev_random_words_ratio);
+      ("select_ops_per_job_churn_cs1e5_3000", select_3k);
+      ("select_ops_per_job_churn_cs1e5_20000", select_20k);
     ]
   in
   let sample s =
@@ -431,6 +484,7 @@ let solver cfg =
          ("dominant_rev_alloc_linear", string_of_bool (linear rev_words_ratio));
          ("dominant_rev_random_alloc_linear",
            string_of_bool (linear rev_random_words_ratio));
+         ("select_ops_linear", string_of_bool (select_worst <= select_bound));
        ]);
   List.iter
     (fun (entry, g) ->
@@ -453,6 +507,10 @@ let solver cfg =
       ("DominantRevMaxRatio", rev_words_ratio);
       ("DominantRevRandom", rev_random_words_ratio);
     ];
+  gate ~enforced:true (select_worst <= select_bound)
+    (Printf.sprintf
+       "churn re-solve selection visits %.2f candidates per live job (> %g)"
+       select_worst select_bound);
   (* Smoke repetitions are too few to time a 2x gap reliably. *)
   gate ~enforced:(not cfg.smoke) (refine_speedup >= 2.)
     (Printf.sprintf "refine speedup %.2fx < 2x over the naive reference"
@@ -529,8 +587,8 @@ let stats cfg =
    policy.  The warm run is timed alone for events/sec and reports the
    live-set passes its state made per event ([State.sweeps]: re-solves,
    completion sweeps and threshold's degradation estimate; plain events
-   walk nothing) and the warm sort's insertion shifts and from-scratch
-   sorts ([Incremental.sort_shifts], [sort_fallbacks]); a second,
+   walk nothing) and the candidates its dominant-boundary selection
+   visited ([Incremental.select_ops]); a second,
    identical run hands the residual instance of each of its re-solves
    to [Oracle.Cold.solve], the cold baseline, timing and counting only
    those solves.  The warm-vs-cold
@@ -591,7 +649,9 @@ let online cfg stats_json =
         let sweeps =
           float_of_int (Online.State.sweeps (Online.Service.live_state live)) /. events
         in
-        let sort = Online.Service.live_counters live in
+        let select_ops =
+          (Online.Service.live_counters live).Online.Incremental.select_ops
+        in
         let eps_warm = events /. Float.max dt 1e-9 in
         let cold, dt_cold = cold_baseline config in
         let eps_cold = events /. Float.max dt_cold 1e-9 in
@@ -608,17 +668,17 @@ let online cfg stats_json =
              eps_cold);
         gate ~enforced:true (speedup >= 1.5)
           (Printf.sprintf "%s: warm_vs_cold_iter_speedup %.2f < 1.5" name speedup);
-        (name, warm, cold, eps_warm, eps_cold, speedup, sweeps, sort))
+        (name, warm, cold, eps_warm, eps_cold, speedup, sweeps, select_ops))
       Online.Policy.defaults
   in
   print_endline "== online service (100-app Poisson stream, load 8) ==";
   table
     [
       "policy"; "events/s(warm)"; "iters(warm)"; "iters(cold)"; "speedup"; "migrations";
-      "sweeps/event"; "sort shifts"; "sort fallbacks";
+      "sweeps/event"; "select ops";
     ]
     (List.map
-       (fun (name, warm, cold, eps_warm, _, speedup, sweeps, sort) ->
+       (fun (name, warm, cold, eps_warm, _, speedup, sweeps, select_ops) ->
          [
            name;
            Printf.sprintf "%.0f" eps_warm;
@@ -627,8 +687,7 @@ let online cfg stats_json =
            Printf.sprintf "%.3f" speedup;
            string_of_int warm.Online.Metrics.migrations;
            Printf.sprintf "%.3f" sweeps;
-           string_of_int sort.Online.Incremental.sort_shifts;
-           string_of_int sort.Online.Incremental.sort_fallbacks;
+           string_of_int select_ops;
          ])
        results);
   let policy (name, warm, cold, eps_warm, eps_cold, speedup, sweeps, _) =

@@ -4,13 +4,12 @@ type counters = {
   mutable resolves : int;
   mutable warm_hits : int;
   mutable cold_fallbacks : int;
-  mutable sort_shifts : int;
-  mutable sort_fallbacks : int;
+  mutable select_ops : int;
 }
 
 let fresh_counters () =
   { solver_iters = 0; partition_ops = 0; resolves = 0; warm_hits = 0;
-    cold_fallbacks = 0; sort_shifts = 0; sort_fallbacks = 0 }
+    cold_fallbacks = 0; select_ops = 0 }
 
 type t = {
   mutable prev_k : float option;
@@ -18,27 +17,18 @@ type t = {
       (* residual parallel demand [sum (1-s_i) c_i] at the last columnar
          solve — the scale behind the predicted warm seed (0 when
          unknown) *)
-  mutable prev_boundary : int;
   counters : counters;
-  (* Persistent warm-partition state.  [ratio], [weight], [order] and
-     [suffix] are position-indexed scratch for the current solve; [carry]
-     holds the previous solve's sorted order as (slot, generation) keys
-     (see [key]) — one per job, so the carry survives departures
-     anywhere in the arrival order and never hands a recycled slot its
-     previous owner's place.  [pn] is the carried order's length (0 when
-     the state is cold); [pos_of] is slot-indexed.  Capacities grow
-     amortised, never shrink, and keep the carried order across
-     growth. *)
-  mutable pn : int;
+  (* Position-indexed scratch for the current solve, grown amortised and
+     never shrunk: dominant-partition ratios and weights, the eviction
+     candidates ([cand.(0 .. evicted-1)] are the last solve's evictees
+     once the boundary is found), then the columnar-solve buffers —
+     cache fractions, sequential fractions, residual work costs, access
+     costs, processor shares, water-filling shares and the active
+     set. *)
   mutable ratio : float array;
   mutable weight : float array;
-  mutable order : int array;
-  mutable suffix : float array;
-  mutable carry : int array;
-  mutable pos_of : int array;
-  (* Columnar-solve scratch, position-indexed (see [solve_state]): cache
-     fractions, sequential fractions, residual work costs, access costs,
-     processor shares, water-filling shares and the active set. *)
+  mutable cand : int array;
+  mutable evicted : int;
   mutable xbuf : float array;
   mutable sbuf : float array;
   mutable cbuf : float array;
@@ -52,15 +42,11 @@ let create () =
   {
     prev_k = None;
     prev_d = 0.;
-    prev_boundary = 0;
     counters = fresh_counters ();
-    pn = 0;
     ratio = [||];
     weight = [||];
-    order = [||];
-    suffix = [||];
-    carry = [||];
-    pos_of = [||];
+    cand = [||];
+    evicted = 0;
     xbuf = [||];
     sbuf = [||];
     cbuf = [||];
@@ -77,21 +63,14 @@ let reseed t ~prev_k ~prev_d =
   t.prev_k <- prev_k;
   t.prev_d <- prev_d
 
-let sorted_positions t =
-  Array.init t.pn (fun k -> (t.order.(k), t.ratio.(t.order.(k))))
-
-(* --- warm partition: maximal dominant suffix in ratio order ------------ *)
+let evicted_positions t = Array.sub t.cand 0 t.evicted
 
 let ensure_capacity t n =
   if Array.length t.ratio < n then begin
     let cap = max n ((2 * Array.length t.ratio) + 8) in
     t.ratio <- Array.make cap 0.;
     t.weight <- Array.make cap 0.;
-    t.order <- Array.make cap 0;
-    t.suffix <- Array.make (cap + 1) 0.;
-    let carry = Array.make cap 0 in
-    Array.blit t.carry 0 carry 0 t.pn;
-    t.carry <- carry;
+    t.cand <- Array.make cap 0;
     t.xbuf <- Array.make cap 0.;
     t.sbuf <- Array.make cap 0.;
     t.cbuf <- Array.make cap 0.;
@@ -101,147 +80,92 @@ let ensure_capacity t n =
     t.actv <- Array.make cap false
   end
 
-(* A job's (slot, generation) pair as one int: state slots stay below
-   2^31, and a slot would need 2^32 admissions to wrap its generation. *)
-let slot_bits = 31
-let key ~slot ~gen = (gen lsl slot_bits) lor slot
+(* --- warm partition: the dominant boundary by selection ----------------- *)
 
-(* Shared tail of the warm partition: given [t.ratio] and [t.weight]
-   filled for positions 0..n-1 of the view whose position-to-slot map is
-   [slot] and whose per-slot generations are [gen], rebuild the sorted
-   order from the carried one, rebuild suffix sums and walk the dominant
-   boundary.  Returns the boundary [b]: sorted positions [b..n-1] are the
-   maximal dominant suffix.
+(* The order of Algorithm 1's MinRatio evictions on non-NaN ratios:
+   by ratio, ties by position. *)
+let[@inline] before (ratio : float array) u v =
+  let ru = ratio.(u) and rv = ratio.(v) in
+  ru < rv || (ru = rv && u < v)
 
-   The order is the unique sort by (ratio, position) — the total order
-   of the cold eviction loop's MinRatio ties — so however it is reached,
-   everything downstream is the same. *)
-let warm_boundary t ~n ~slot ~gen =
+let[@inline] swap (a : int array) i j =
+  let u = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- u
+
+(* Given [t.ratio] and [t.weight] filled for positions 0..n-1 and their
+   weight sum [total], find the jobs Algorithm 1 with MinRatio evicts:
+   in the order by (ratio, position), the shortest prefix after which
+   the first remaining job's ratio beats the remaining weight sum.
+   Leaves them in [t.cand.(0 .. b-1)] and returns [b].
+
+   An evictee at sorted index k has [ratio <= S_k <= total], where S_k
+   is the weight sum from k on, so one filter pass keeps only the jobs
+   with [not (ratio > total)].  NaN ratios sort first and never beat a
+   sum, so the filter evicts them outright.  A quickselect over the
+   rest finds the boundary: [cand.(0 .. lo-1)] are known evicted,
+   [cand.(hi .. m-1)] known kept, and [s] is [total] less the weights
+   of the evicted.  A pivot is kept iff its ratio beats [s] less the
+   weights of the candidates below it; since [ratio - S_k] is
+   nondecreasing along the order, everything above a kept pivot is kept
+   and everything below an evicted one is evicted.  Median of three
+   keeps the expected work at O(m). *)
+let select_boundary t ~n ~total =
   let c = t.counters in
-  let ratio = t.ratio and weightv = t.weight and order = t.order in
-  let cmp u v =
-    match Float.compare ratio.(u) ratio.(v) with
-    | 0 -> Int.compare u v
-    | cmp -> cmp
-  in
-  (* Survivors: the carried entries whose job is still live, at their
-     current positions, in carried order.  Slot [s] is live at
-     [p = pos_of.(s)] iff [p < n && slot.(p) = s] (stale entries of
-     [pos_of] fail the test, so it is never cleared); a recycled slot
-     has a new generation and drops out.  A survivor's [pos_of] is then
-     set to [n], so the positions that still map to themselves are the
-     arrivals. *)
-  if Array.length t.pos_of < Array.length gen then
-    t.pos_of <- Array.make (Array.length gen) 0;
-  let pos_of = t.pos_of and carry = t.carry in
+  let ratio = t.ratio and weightv = t.weight and cand = t.cand in
+  let lo = ref 0 and m = ref 0 and s = ref total in
   for i = 0 to n - 1 do
-    pos_of.(slot.(i)) <- i
-  done;
-  let m = ref 0 in
-  for k = 0 to t.pn - 1 do
-    let s = carry.(k) land ((1 lsl slot_bits) - 1) in
-    if s < Array.length gen && carry.(k) = key ~slot:s ~gen:gen.(s) then begin
-      let p = pos_of.(s) in
-      if p < n && slot.(p) = s then begin
-        order.(!m) <- p;
-        pos_of.(s) <- n;
-        incr m
+    let r = ratio.(i) in
+    if not (r > total) then begin
+      if Float.is_nan r then begin
+        cand.(!m) <- cand.(!lo);
+        cand.(!lo) <- i;
+        incr lo;
+        s := !s -. weightv.(i)
       end
+      else cand.(!m) <- i;
+      incr m
     end
   done;
-  let m = !m in
-  (* Arrivals follow in [order.(m..n-1)]. *)
-  let a = ref m in
-  for i = 0 to n - 1 do
-    if pos_of.(slot.(i)) = i then begin
-      order.(!a) <- i;
-      incr a
-    end
-  done;
-  (* Progress drifts the survivors' ratios smoothly, so their carried
-     order is nearly sorted: an adaptive insertion sort restores it in
-     O(m + inversions) shifts.  Should the shift distance pass a linear
-     budget, the pass bails and the survivors are sorted with the
-     arrivals below. *)
-  let budget = ref (8 * n) in
-  let k = ref 1 in
-  while !k < m && !budget >= 0 do
-    let v = order.(!k) in
-    let rv = ratio.(v) in
-    let j = ref (!k - 1) in
-    let continue_ = ref true in
-    while !continue_ && !j >= 0 do
-      let u = order.(!j) in
-      let ru = ratio.(u) in
-      if ru > rv || (ru = rv && u > v) then begin
-        order.(!j + 1) <- u;
-        decr j;
-        decr budget
-      end
-      else continue_ := false
-    done;
-    order.(!j + 1) <- v;
-    incr k
-  done;
-  c.sort_shifts <- c.sort_shifts + ((8 * n) - !budget);
-  let m = if !budget < 0 then 0 else m in
-  (* A sort from scratch: the insertion pass bailed, or nothing carried
-     survived (the first solve after create or restore). *)
-  if m = 0 && n > 1 then c.sort_fallbacks <- c.sort_fallbacks + 1;
-  (* Sort the few arrivals, then merge them into the survivors from the
-     back: one O(n) pass that never overwrites an unread survivor. *)
-  let arr = Array.sub order m (n - m) in
-  Array.sort cmp arr;
-  let i = ref (m - 1) and j = ref (n - m - 1) and w = ref (n - 1) in
-  while !j >= 0 do
-    let v = arr.(!j) in
-    let take_survivor =
-      !i >= 0
-      &&
-      let u = order.(!i) in
-      let ru = ratio.(u) and rv = ratio.(v) in
-      ru > rv || (ru = rv && u > v)
-    in
-    if take_survivor then begin
-      order.(!w) <- order.(!i);
-      decr i
-    end
-    else begin
-      order.(!w) <- v;
-      decr j
-    end;
-    decr w
-  done;
-  (* suffix.(k) = sum of weights of sorted entries k..n-1; the same pass
-     records the order by job for the next solve. *)
-  let suffix = t.suffix in
-  suffix.(n) <- 0.;
-  for k = n - 1 downto 0 do
-    let p = order.(k) in
-    suffix.(k) <- suffix.(k + 1) +. weightv.(p);
-    let s = slot.(p) in
-    carry.(k) <- key ~slot:s ~gen:gen.(s)
-  done;
-  t.pn <- n;
   c.partition_ops <- c.partition_ops + n;
-  (* The suffix starting at k is dominant iff its minimum-ratio member —
-     the sorted entry at k itself — beats the suffix weight sum;
-     [ratio - suffix sum] is nondecreasing in k, so the feasible starts
-     form a suffix of positions and the boundary can be walked from its
-     previous value. *)
-  let dominant_at k =
+  let hi = ref !m in
+  while !lo < !hi do
+    let a = !lo and z = !hi - 1 in
+    let mid = a + ((z - a) / 2) in
+    if before ratio cand.(mid) cand.(a) then swap cand mid a;
+    if before ratio cand.(z) cand.(a) then swap cand z a;
+    if before ratio cand.(z) cand.(mid) then swap cand z mid;
+    swap cand mid z;
+    let p = cand.(z) in
+    let rp = ratio.(p) in
+    (* Lomuto's partition, branch-free: on unsorted candidates the
+       comparison is a coin flip, and a mispredicted branch costs more
+       than the two stores it would save.  Positions in [cand] are
+       below [n], within every array read here. *)
+    let q = ref a in
+    for i = a to z - 1 do
+      let u = Array.unsafe_get cand i in
+      let ru = Array.unsafe_get ratio u in
+      Array.unsafe_set cand i (Array.unsafe_get cand !q);
+      Array.unsafe_set cand !q u;
+      q := !q + Bool.to_int (ru < rp) + (Bool.to_int (ru = rp) land Bool.to_int (u < p))
+    done;
+    let below = ref 0. in
+    for i = a to !q - 1 do
+      below := !below +. Array.unsafe_get weightv (Array.unsafe_get cand i)
+    done;
+    swap cand !q z;
+    c.select_ops <- c.select_ops + (z - a + 1);
     c.partition_ops <- c.partition_ops + 1;
-    k >= n || ratio.(order.(k)) > suffix.(k)
-  in
-  let b = ref (min (max t.prev_boundary 0) n) in
-  while !b > 0 && dominant_at (!b - 1) do
-    decr b
+    let sq = !s -. !below in
+    if ratio.(p) > sq then hi := !q
+    else begin
+      lo := !q + 1;
+      s := sq -. weightv.(p)
+    end
   done;
-  while not (dominant_at !b) do
-    incr b
-  done;
-  t.prev_boundary <- !b;
-  !b
+  t.evicted <- !lo;
+  !lo
 
 (* --- full re-solve ----------------------------------------------------- *)
 
@@ -266,13 +190,9 @@ let m_solver_iters =
   Obs.Metrics.counter ~help:"root-finder evaluations spent in re-solves"
     "incremental.solver_iters"
 
-let m_sort_shifts =
-  Obs.Metrics.counter ~help:"insertion shifts restoring the carried order"
-    "incremental.sort_shifts"
-
-let m_sort_falls =
-  Obs.Metrics.counter ~help:"re-solves that sorted the live set from scratch"
-    "incremental.sort_fallbacks"
+let m_select_ops =
+  Obs.Metrics.counter ~help:"candidates visited selecting the dominant boundary"
+    "incremental.select_ops"
 
 type mode = Warm
 
@@ -283,16 +203,18 @@ type mode = Warm
    scratch buffer, so a re-solve materializes no [Model.App.t] values at
    all. *)
 let solve_state t ~elapsed ~state =
-  let v = State.view state in
-  let n = v.State.v_n in
-  if n = 0 then invalid_arg "Incremental.solve_state: empty instance";
+  if State.live_count state = 0 then
+    invalid_arg "Incremental.solve_state: empty instance";
   (* Probes off: [sp] is the null handle, [ops0] is an int read — the
      event loop allocates exactly what it did uninstrumented
      (test/test_obs.ml holds this path to zero extra minor words). *)
   let sp = Obs.Span.start "online.resolve" in
+  let phase = Obs.Span.start "online.resolve.settle" in
+  let v = State.view state in
+  let n = v.State.v_n in
+  Obs.Span.stop phase;
   let phase = Obs.Span.start "online.resolve.partition" in
-  let ops0 = t.counters.partition_ops in
-  let shifts0 = t.counters.sort_shifts and falls0 = t.counters.sort_fallbacks in
+  let ops0 = t.counters.partition_ops and sel0 = t.counters.select_ops in
   t.counters.resolves <- t.counters.resolves + 1;
   ensure_capacity t n;
   let platform = State.platform state in
@@ -307,7 +229,8 @@ let solve_state t ~elapsed ~state =
   (* Pass 1 — dominant-partition weight and ratio per position, exactly
      {!Theory.Dominant}'s arithmetic on the residual application
      [w = remaining * w0]; [d] and [d ** (1/alpha)] come cached from the
-     state columns. *)
+     state columns.  The weight sum is taken in position order. *)
+  let wsum = ref 0. in
   for i = 0 to n - 1 do
     let s = slot.(i) in
     let d = v.State.v_d.(s) in
@@ -320,22 +243,22 @@ let solve_state t ~elapsed ~state =
       else w /. v.State.v_dpow.(s)
     in
     weightv.(i) <- w;
-    ratio.(i) <- r
+    ratio.(i) <- r;
+    wsum := !wsum +. w
   done;
   t.counters.partition_ops <- t.counters.partition_ops + (2 * n);
-  let b = warm_boundary t ~n ~slot ~gen:v.State.v_gen in
-  (* Capped water-filling over the dominant suffix —
-     {!Theory.Dominant.cache_allocation_capped} verbatim, with the caps
-     read from the [v_capx] column and the active set / share scratch
-     reused across re-solves. *)
-  let actv = t.actv and shares = t.shares in
-  let order = t.order in
+  let b = select_boundary t ~n ~total:!wsum in
+  (* Capped water-filling over the dominant set — every job but the [b]
+     evictees — {!Theory.Dominant.cache_allocation_capped} verbatim, with
+     the caps read from the [v_capx] column and the active set / share
+     scratch reused across re-solves. *)
+  let actv = t.actv and shares = t.shares and cand = t.cand in
   for i = 0 to n - 1 do
-    actv.(i) <- false;
+    actv.(i) <- true;
     xbuf.(i) <- 0.
   done;
-  for k = b to n - 1 do
-    actv.(order.(k)) <- true
+  for k = 0 to b - 1 do
+    actv.(cand.(k)) <- false
   done;
   let budget = ref 1. in
   let continue_ = ref true in
@@ -451,8 +374,7 @@ let solve_state t ~elapsed ~state =
   Obs.Span.stop phase;
   if Obs.Probe.on () then begin
     Obs.Metrics.add m_partition_ops (t.counters.partition_ops - ops0);
-    Obs.Metrics.add m_sort_shifts (t.counters.sort_shifts - shifts0);
-    Obs.Metrics.add m_sort_falls (t.counters.sort_fallbacks - falls0);
+    Obs.Metrics.add m_select_ops (t.counters.select_ops - sel0);
     Obs.Metrics.add m_solver_iters !iters;
     Obs.Span.add_attr sp "mode" "warm";
     Obs.Span.add_attr sp "n" (string_of_int n);

@@ -9,31 +9,22 @@
     - {b Partition.}  Algorithm 1 evicts the minimum-ratio application
       until dominance holds; since the per-application ratio does not
       depend on the chosen subset, its result is exactly the maximal
-      dominant {e suffix} of the applications sorted by ratio (dominance
-      of a suffix reduces to its first member's ratio exceeding the
-      suffix weight sum, and [ratio - suffix sum] is monotone along the
-      sorted order).  The warm path therefore computes each ratio once,
-      sorts, and walks the suffix boundary from its previous position —
-      [O(n log n)] against the cold rebuild's [O(n^2)] eviction loop, and
-      provably the same subset (ties broken by index in both).
-
-      The sort itself is warm too.  {!t} carries the previous solve's
-      sorted order {e by job}, as (slot, generation) pairs read from
-      {!State.view}'s [v_slot] and [v_gen], so a departure anywhere in
-      the arrival order and a freelist slot recycled for a new arrival
-      leave the other jobs' carried places intact.  Each re-solve maps
-      the pairs back to positions (O(n)), keeps the survivors — live
-      jobs whose slot generation is unchanged — in carried order,
-      restores their progress drift with an adaptive insertion sort,
-      sorts the [a] arrivals since the last solve with [Array.sort] and
-      merges them in with one O(n) pass.  Per re-solve the sort costs
-      [O(n + d + a log a)], where [d] is the number of inversions
-      progress drift put among the survivors, plus one full
-      [O(n log n)] sort per create or restore (nothing carried yet);
-      capacity regrowth keeps the carried order.  Should [d] pass a
-      linear shift budget, the survivors are re-sorted with
-      [Array.sort] too.  [sort_shifts] and [sort_fallbacks] count
-      both.
+      dominant {e suffix} of the applications sorted by (ratio, index)
+      (dominance of a suffix reduces to its first member's ratio
+      exceeding the suffix weight sum, and [ratio - suffix sum] is
+      monotone along the sorted order).  The warm path computes each
+      ratio and the total weight [W] once, then finds that suffix's
+      boundary by {e selection}, not by sorting: every evictee has
+      [ratio <= W], so one filter pass keeps the [c] candidates with
+      [not (ratio > W)], and a median-of-three quickselect over them
+      settles the boundary — a kept pivot keeps everything above it, an
+      evicted one evicts everything below it.  Expected
+      [O(n + c)] per re-solve, with nothing carried between solves
+      (so nothing to rebuild after a create or restore), against the
+      cold rebuild's [O(n^2)] eviction loop; provably the same subset
+      (ties broken by index in both) up to the rounding of the weight
+      sums, which differ only in association.  [select_ops] counts the
+      candidates the quickselect visits.
 
     - {b Makespan.}  The previous [K], scaled by the change in residual
       parallel demand since the last solve, seeds a tight bracket that
@@ -46,17 +37,19 @@
 
     All work is counted: [partition_ops] increments per weight/ratio/
     dominance evaluation, [solver_iters] per makespan-objective
-    evaluation, [sort_shifts] per insertion shift, so warm-vs-cold
+    evaluation, [select_ops] per candidate visited by the boundary
+    selection, so warm-vs-cold
     savings are measured, not asserted.
     With {!Obs.Probe.on}, every {!solve_state} also opens an
-    [online.resolve] tracing span with four children that tile it —
-    [online.resolve.partition] (weights and ratios, the sort and
-    boundary, water-filling), [online.resolve.cost] (work costs and the
+    [online.resolve] tracing span with five children that tile it —
+    [online.resolve.settle] ({!State.view}: compaction and settling
+    the live set at the clock), [online.resolve.partition] (weights and
+    ratios, the boundary selection, water-filling), [online.resolve.cost] (work costs and the
     demand sum), [online.resolve.root] (the makespan root) and
     [online.resolve.install] (processor shares and
     {!State.apply_view}) — and feeds the [incremental.*] metrics
     (resolves, warm hits vs cold fallbacks, partition ops, solver
-    iterations, sort shifts and sort fallbacks). *)
+    iterations, selection ops). *)
 
 type counters = {
   mutable solver_iters : int;
@@ -72,24 +65,20 @@ type counters = {
   mutable cold_fallbacks : int;
       (** {!solve_state} calls that fell back to the cold bracket (no
           previous makespan, or the prediction was unusable). *)
-  mutable sort_shifts : int;
-      (** Insertion shifts spent restoring the carried order's drift. *)
-  mutable sort_fallbacks : int;
-      (** {!solve_state} calls that sorted the live set from scratch:
-          nothing was carried (the first solve after {!create}), or the
-          insertion pass ran out of its linear shift budget.  Like
-          [sort_shifts], not checkpointed: a restored service starts
-          both at 0. *)
+  mutable select_ops : int;
+      (** Candidates visited by the boundary selection's partition
+          passes (expected at most a small multiple of the candidate
+          count per {!solve_state}).  Not checkpointed: a restored
+          service starts it at 0. *)
 }
 
 val fresh_counters : unit -> counters
 (** All-zero counters. *)
 
 type t
-(** Warm state: the previous makespan and suffix-boundary position, the
-    persistent partition arrays (ratios, weights, the sorted order
-    carried by job, suffix sums), the columnar-solve scratch, and the
-    {!counters}. *)
+(** Warm state: the previous makespan and demand scale, the reusable
+    partition and columnar-solve scratch (ratios, weights, candidates,
+    per-position buffers), and the {!counters}. *)
 
 val create : unit -> t
 (** Cold warm-state with {!fresh_counters}. *)
@@ -105,13 +94,12 @@ val prev_demand : t -> float
 
 val reseed : t -> prev_k:float option -> prev_d:float -> unit
 (** Install a checkpointed warm seed (previous makespan and demand
-    scale).  The carried order is {e not} restored — it only buys sort
-    adaptivity; the partition result is exact either way. *)
+    scale) — the only state a re-solve carries. *)
 
-val sorted_positions : t -> (int * float) array
-(** The last {!solve_state}'s live positions in partition order, each
-    with its ratio: the sort by (ratio, position) ascending.  Fresh
-    array, for tests. *)
+val evicted_positions : t -> int array
+(** The live positions the last {!solve_state} evicted from the cache
+    (the first ones of the order by (ratio, position)), in no particular
+    order.  Fresh array, for tests. *)
 
 type mode = Warm
 (** The service's re-solve mode: [Warm] ({!solve_state}) is the only
@@ -122,7 +110,7 @@ val solve_state :
 (** The warm re-solve on {!State}'s columns directly — the service's hot
     path.  Reads the live set through {!State.view} (no per-job
     [Model.App.t] materialization), computes the partition by the
-    sorted-suffix repair described above (the same subset as
+    boundary selection described above (the same subset as
     Algorithm 1's MinRatio eviction loop) and the capped water-filling of
     {!Theory.Dominant.cache_allocation_capped}, roots the makespan with
     {!Sched.Equalize.solve_cols} (Illinois refinement) seeded by the

@@ -427,6 +427,7 @@ let live_persist lv =
 
 let live_restore ?(config = default_config) ?listener ~platform p =
   Policy.validate config.policy;
+  let live = List.length p.p_jobs in
   let lv =
     {
       config;
@@ -434,7 +435,7 @@ let live_restore ?(config = default_config) ?listener ~platform p =
       state = State.create platform;
       engine = Simulator.Engine.create ();
       inc = Incremental.create ();
-      jobs_by_id = Hashtbl.create 64;
+      jobs_by_id = Hashtbl.create live;
       listener;
       events_since = p.p_events_since;
       events_handled = p.p_events_handled;
@@ -455,7 +456,7 @@ let live_restore ?(config = default_config) ?listener ~platform p =
   in
   Simulator.Engine.advance_to lv.engine ~to_:p.p_time;
   State.restore lv.state ~clock:p.p_time ~anchor:p.p_last_solve
-    ~next_id:p.p_next_id ~busy:p.p_busy;
+    ~next_id:p.p_next_id ~busy:p.p_busy ~live;
   List.iter
     (fun pj ->
       let job =

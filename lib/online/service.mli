@@ -93,8 +93,7 @@ val live_state : live -> State.t
 
 val live_counters : live -> Incremental.counters
 (** The re-solver's live work counters, including those a checkpoint
-    does not carry ([sort_shifts], [sort_fallbacks] start at 0 after
-    {!live_restore}). *)
+    does not carry ([select_ops] starts at 0 after {!live_restore}). *)
 
 val last_makespan : live -> float option
 (** Equalised makespan [k] of the most recent re-solve; [None] before

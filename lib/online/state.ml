@@ -65,7 +65,6 @@ and cols = {
   mutable c_d : float array; (* Power_law.d_of *)
   mutable c_dpow : float array; (* d ** (1 / alpha) *)
   mutable c_capx : float array; (* max useful cache fraction *)
-  mutable c_gen : int array; (* admissions into the slot so far *)
 }
 
 and t = {
@@ -111,7 +110,6 @@ let create platform =
         c_d = [||];
         c_dpow = [||];
         c_capx = [||];
-        c_gen = [||];
       };
     clock = 0.;
     anchor = 0.;
@@ -190,8 +188,14 @@ let grow_float a cap =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow_cols c =
-  let cap = max 8 (2 * c.cap) in
+(* The capacity repeated doubling from 8 reaches for [n] entries. *)
+let capacity_for n =
+  let rec up c = if c >= n then c else up (2 * c) in
+  up 8
+
+(* Grow the columns to hold [n] slots, in one step however far. *)
+let grow_cols c n =
+  let cap = capacity_for n in
   c.c_remaining <- grow_float c.c_remaining cap;
   c.c_procs <- grow_float c.c_procs cap;
   c.c_cache <- grow_float c.c_cache cap;
@@ -206,29 +210,19 @@ let grow_cols c =
   c.c_d <- grow_float c.c_d cap;
   c.c_dpow <- grow_float c.c_dpow cap;
   c.c_capx <- grow_float c.c_capx cap;
-  let gen = Array.make cap 0 in
-  Array.blit c.c_gen 0 gen 0 c.cap;
-  c.c_gen <- gen;
   c.cap <- cap
 
-(* Every admission bumps its slot's generation, so a (slot, generation)
-   pair names one job for as long as it lives, even after its slot is
-   recycled. *)
 let alloc_slot t =
-  let s =
-    if t.nfree > 0 then begin
-      t.nfree <- t.nfree - 1;
-      t.free.(t.nfree)
-    end
-    else begin
-      if t.hwm >= t.cols.cap then grow_cols t.cols;
-      let s = t.hwm in
-      t.hwm <- t.hwm + 1;
-      s
-    end
-  in
-  t.cols.c_gen.(s) <- t.cols.c_gen.(s) + 1;
-  s
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
+    if t.hwm >= t.cols.cap then grow_cols t.cols (t.hwm + 1);
+    let s = t.hwm in
+    t.hwm <- t.hwm + 1;
+    s
+  end
 
 let free_slot t s =
   if Array.length t.free <= t.nfree then begin
@@ -263,7 +257,9 @@ let push_dense t j =
     (* Prefer squeezing holes to growing when most entries are dead. *)
     if t.nlive * 2 <= t.ndense then compact t;
     if t.ndense >= Array.length t.dense then begin
-      let cap = max 8 (2 * Array.length t.dense) in
+      (* Never below the columns' capacity, so a restore sized them for
+         its jobs at once (see {!restore}) sizes this array once too. *)
+      let cap = max (capacity_for (t.ndense + 1)) t.cols.cap in
       let d = Array.make cap j in
       Array.blit t.dense 0 d 0 t.ndense;
       t.dense <- d;
@@ -344,7 +340,7 @@ let add t ~app =
   push_dense t job;
   job
 
-let restore t ~clock ~anchor ~next_id ~busy =
+let restore t ~clock ~anchor ~next_id ~busy ~live =
   if t.nlive > 0 || t.finished_rev <> [] then
     invalid_arg "State.restore: state is not fresh";
   if Float.is_nan clock || clock < 0. then
@@ -352,6 +348,8 @@ let restore t ~clock ~anchor ~next_id ~busy =
   if Float.is_nan anchor || anchor < 0. || anchor > clock then
     invalid_arg "State.restore: bad anchor";
   if next_id < 0 then invalid_arg "State.restore: bad next_id";
+  if live < 0 then invalid_arg "State.restore: bad live count";
+  if live > t.cols.cap then grow_cols t.cols live;
   t.clock <- clock;
   t.anchor <- anchor;
   t.next_id <- next_id;
@@ -556,7 +554,6 @@ type view = {
   v_d : float array;
   v_dpow : float array;
   v_capx : float array;
-  v_gen : int array;
 }
 
 (* Move the anchor to the clock: write every running job's remaining
@@ -603,7 +600,6 @@ let view t =
     v_d = c.c_d;
     v_dpow = c.c_dpow;
     v_capx = c.c_capx;
-    v_gen = c.c_gen;
   }
 
 let apply_view t ~n ~procs ~cache ~access =

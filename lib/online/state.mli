@@ -122,14 +122,18 @@ val add : t -> app:Model.App.t -> job
 (** Admit an arrival (queued, no allocation) at the current time. *)
 
 val restore :
-  t -> clock:float -> anchor:float -> next_id:int -> busy:float -> unit
+  t -> clock:float -> anchor:float -> next_id:int -> busy:float -> live:int ->
+  unit
 (** Reset the scalar fields of a {e fresh} state to checkpointed values —
     the first step of rebuilding a live core from a snapshot
     ({!Serve.Snapshot}).  [busy] is the {!settled_busy} value and the
-    remaining fractions later {!inject}ed refer to [anchor].
+    remaining fractions later {!inject}ed refer to [anchor].  [live] is
+    the number of jobs about to be {!inject}ed: the columns and the
+    iteration array are sized for them in one step (to the capacity
+    doubling would reach), not grown job by job.
     @raise Invalid_argument if the state already holds jobs, on a
-    negative/NaN clock, an anchor outside [[0, clock]] or a negative
-    [next_id]. *)
+    negative/NaN clock, an anchor outside [[0, clock]], a negative
+    [next_id] or a negative [live]. *)
 
 val inject : t ->
   id:int ->
@@ -231,10 +235,6 @@ type view = {
   v_d : float array;  (** {!Model.Power_law.d_of} per job. *)
   v_dpow : float array;  (** [d ** (1/alpha)] per job (0 when d = 0). *)
   v_capx : float array;  (** Max useful cache fraction per job. *)
-  v_gen : int array;
-      (** Per-slot generation: bumped by every admission into the slot,
-          so a [(slot, generation)] pair names one job across freelist
-          reuse. *)
 }
 (** Column view for the solver: slot-indexed arrays shared with the
     state (do not retain across events), plus the position-to-slot map

@@ -65,7 +65,8 @@ let resolve o =
   if live <> [] then begin
     let platform = o.o_platform in
     let st = Online.State.create platform in
-    Online.State.restore st ~clock:o.o_clock ~anchor:o.o_clock ~next_id:0 ~busy:0.;
+    Online.State.restore st ~clock:o.o_clock ~anchor:o.o_clock ~next_id:0 ~busy:0.
+      ~live:(List.length live);
     let handles =
       List.mapi
         (fun i j ->

@@ -317,15 +317,15 @@ let format_of_string_rejects_garbage () =
 
 (* --- the re-solve's phase split ------------------------------------------ *)
 
-(* [online.resolve] opens four child spans — partition, cost, root,
-   install — that tile it, so over a run their durations sum back to
-   the parent's within 10 % (what falls outside them is a few counter
-   updates and the parent's own attributes).  A Batched 16 service
+(* [online.resolve] opens five child spans — settle (the state view),
+   partition, cost, root, install — that tile it, so over a run their
+   durations sum back to the parent's within 10 % (what falls outside
+   them is a few counter updates and the parent's own attributes).  A Batched 16 service
    admitting 2 000 jobs re-solves about 125 times at up to n = 2 000. *)
 let resolve_phases_sum_to_parent () =
   let names =
-    [ "online.resolve.partition"; "online.resolve.cost"; "online.resolve.root";
-      "online.resolve.install" ]
+    [ "online.resolve.settle"; "online.resolve.partition"; "online.resolve.cost";
+      "online.resolve.root"; "online.resolve.install" ]
   in
   let evs =
     Obs.Probe.with_enabled (fun () ->

@@ -14,10 +14,14 @@ let qtest t = QCheck_alcotest.to_alcotest t
 
 let platform = Model.Platform.paper_default
 
+(* The paper's node with a 10^5-byte cache.  On the paper platform
+   nothing is evicted below n of about 2 * 10^4; here most jobs are. *)
+let small_cache = Model.Platform.make ~p:256. ~cs:1e5 ()
+
 let synth ~seed n =
   Model.Workload.generate ~rng:(Util.Rng.create seed) Model.Workload.NpbSynth n
 
-let stream_of ~seed ~load n =
+let stream_of ?(platform = platform) ~seed ~load n =
   Online.Workload_stream.poisson_load ~rng:(Util.Rng.create seed) ~platform
     ~load ~dataset:Model.Workload.NpbSynth n
 
@@ -265,7 +269,7 @@ let run_service ~policy stream =
 
 (* Replay [stream] through a live instance as {!Online.Service.run} does,
    calling [on_resolve] with the instance after every re-solve. *)
-let replay ~policy ~on_resolve stream =
+let replay ?(platform = platform) ~policy ~on_resolve stream =
   let config = { Online.Service.default_config with policy; validate = true } in
   let lv = ref None in
   let listener = function
@@ -289,12 +293,19 @@ let replay ~policy ~on_resolve stream =
 (* The cold oracle of one warm re-solve: [Oracle.Cold.solve] on the
    residual instance the service just solved, compared with what the
    service installed — makespan, every processor share and cache
-   fraction to 1e-9 relative, and the cached set exactly. *)
-let matches_cold_oracle counters lv =
-  let jobs = Online.State.live (Online.Service.live_state lv) in
+   fraction to 1e-9 relative, and the cached set exactly.  [evictions]
+   counts the live jobs the oracle left out of the cache. *)
+let matches_cold_oracle ?(evictions = ref 0) counters lv =
+  let state = Online.Service.live_state lv in
+  let jobs = Online.State.live state in
   let apps = Array.map Online.State.remaining_app jobs in
-  let schedule, k = Oracle.Cold.solve counters ~platform ~apps in
+  let schedule, k =
+    Oracle.Cold.solve counters ~platform:(Online.State.platform state) ~apps
+  in
   let cold = schedule.Model.Schedule.allocs in
+  Array.iter
+    (fun (a : Model.Schedule.alloc) -> if a.cache = 0. then incr evictions)
+    cold;
   (match Online.Service.last_makespan lv with
   | Some warm_k -> rel_close warm_k k
   | None -> false)
@@ -350,30 +361,49 @@ let service_deterministic () =
   in
   Alcotest.(check bool) "bit-identical metrics" true (run () = run ())
 
+(* The headline property: warm-started re-solves change nothing but the
+   work done — every allocation the service commits is the cold
+   pipeline's on the same residual instance, under each re-solve
+   policy.  [evictions] counts the oracle's evictions. *)
+let warm_matches_cold_oracle ?platform ~load ~apps ~evictions (seed, policy) =
+  let stream = stream_of ?platform ~seed ~load apps in
+  let counters = Online.Incremental.fresh_counters () in
+  let ok = ref true in
+  let m =
+    replay ?platform ~policy stream ~on_resolve:(fun lv ->
+        if not (matches_cold_oracle ~evictions counters lv) then ok := false)
+  in
+  !ok
+  && m.Online.Metrics.resolves = counters.Online.Incremental.resolves
+  && m.Online.Metrics.completed = apps
+
+let seed_and_policy =
+  QCheck.(
+    pair (int_bound 10_000)
+      (oneofl
+         [
+           Online.Policy.Every_event; Batched 1; Batched 4; Threshold 0.;
+           Threshold 0.1;
+         ]))
+
 let qcheck_warm_matches_cold_oracle =
-  (* The headline property: warm-started re-solves change nothing but the
-     work done — every allocation the service commits is the cold
-     pipeline's on the same residual instance, under each re-solve
-     policy. *)
   QCheck.Test.make ~name:"warm re-solves == cold oracle" ~count:20
-    QCheck.(
-      pair (int_bound 10_000)
-        (oneofl
-           [
-             Online.Policy.Every_event; Batched 1; Batched 4; Threshold 0.;
-             Threshold 0.1;
-           ]))
-    (fun (seed, policy) ->
-      let stream = stream_of ~seed ~load:3. 12 in
-      let counters = Online.Incremental.fresh_counters () in
-      let ok = ref true in
-      let m =
-        replay ~policy stream ~on_resolve:(fun lv ->
-            if not (matches_cold_oracle counters lv) then ok := false)
-      in
-      !ok
-      && m.Online.Metrics.resolves = counters.Online.Incremental.resolves
-      && m.Online.Metrics.completed = 12)
+    seed_and_policy
+    (warm_matches_cold_oracle ~load:3. ~apps:12 ~evictions:(ref 0))
+
+(* The same on [small_cache] with 40 jobs at load 16, with a fixed QCheck
+   seed: the oracle must evict (at least once per stream on average), or
+   the property checks nothing of the warm boundary selection. *)
+let warm_matches_cold_oracle_evicting () =
+  let evictions = ref 0 and count = 20 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 17 |])
+    (QCheck.Test.make ~name:"warm re-solves == cold oracle (cs = 1e5)" ~count
+       seed_and_policy
+       (warm_matches_cold_oracle ~platform:small_cache ~load:16. ~apps:40
+          ~evictions));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d evictions in %d streams" !evictions count)
+    true (!evictions >= count)
 
 let warm_service_saves_solver_work () =
   let stream = stream_of ~seed:25 ~load:6. 60 in
@@ -415,6 +445,55 @@ let chunked_resolves_match_recorded () =
   let bits = Alcotest.(check string) in
   bits "k1" "0x1.28149d419c994p+42" (Printf.sprintf "%h" k1);
   bits "k2" "0x1.f91b5b8bb5406p+41" (Printf.sprintf "%h" k2)
+
+(* --- the eviction path ---------------------------------------------------- *)
+
+(* An n = 3000 churn on [small_cache] —
+   eight cancel-oldest/submit pairs and a sliver of progress between
+   re-solves — against makespans recorded with the carried-sort
+   boundary.  Any change to which jobs the boundary evicts moves the
+   makespans and fails here. *)
+let evicting_churn_matches_recorded () =
+  let n = 3000 and churn = 8 and resolves = 6 in
+  let state = Online.State.create small_cache in
+  let inc = Online.Incremental.create () in
+  let apps = synth ~seed:37 (n + (churn * resolves)) in
+  for i = 0 to n - 1 do
+    ignore (Online.State.add state ~app:apps.(i))
+  done;
+  let next = ref n and ks = ref [] and evicted = ref 0 in
+  for r = 0 to resolves - 1 do
+    let elapsed =
+      if r = 0 then 0.
+      else begin
+        let dt = 0.01 *. (Online.State.next_finish state -. Online.State.now state) in
+        Online.State.advance state ~to_:(Online.State.now state +. dt);
+        let live = Online.State.live state in
+        for i = 0 to churn - 1 do
+          Online.State.cancel state live.(i);
+          ignore (Online.State.add state ~app:apps.(!next));
+          incr next
+        done;
+        dt
+      end
+    in
+    let k, _ = Online.Incremental.solve_state inc ~elapsed ~state in
+    ks := Printf.sprintf "%h" k :: !ks;
+    Array.iter
+      (fun j -> if Online.State.cache j = 0. then incr evicted)
+      (Online.State.live state)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d placements evicted" !evicted (n * resolves))
+    true
+    (!evicted > n * resolves / 2);
+  Alcotest.(check (list string))
+    "makespans"
+    [
+      "0x1.069de373abb2p+43"; "0x1.042456a3084fep+43"; "0x1.015cc33b0e578p+43";
+      "0x1.fe41c5104c492p+42"; "0x1.f90374eacdbfap+42"; "0x1.f41ca5f0863e4p+42";
+    ]
+    (List.rev !ks)
 
 (* --- the flat per-event integrator as an oracle -------------------------- *)
 
@@ -632,12 +711,16 @@ let () =
           test "handles departures" service_handles_departures;
           test "deterministic" service_deterministic;
           qtest qcheck_warm_matches_cold_oracle;
+          test "evicting streams: warm == cold oracle"
+            warm_matches_cold_oracle_evicting;
           test "warm saves solver work" warm_service_saves_solver_work;
         ] );
       ( "chunking",
         [
           test "n=2500 makespans match literals"
             chunked_resolves_match_recorded;
+          test "n=3000 cs=1e5 evicting churn matches literals"
+            evicting_churn_matches_recorded;
         ] );
       ( "oracle",
         [
