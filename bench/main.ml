@@ -555,8 +555,7 @@ let stats cfg =
     Online.Workload_stream.scenario_load ~rng ~platform ~scenario
       ~dataset:Model.Workload.NpbSynth 150
   in
-  let report, dt = timed (fun () -> Online.Service.run ~platform stream) in
-  let m = report.Online.Service.metrics in
+  let m, dt = timed (fun () -> Online.Service.run ~platform stream) in
   let flash_eps = float_of_int m.Online.Metrics.events /. Float.max dt 1e-9 in
   print_endline "== stats: heavy-tailed samplers and flash-crowd serving ==";
   table [ "sampler"; "ns/op" ]
@@ -639,12 +638,11 @@ let online cfg stats_json =
     List.map
       (fun policy ->
         let config = { Online.Service.default_config with policy } in
-        let (live, report), dt =
+        let (live, warm), dt =
           timed (fun () ->
               let live = replay config in
               (live, Online.Service.live_report live))
         in
-        let warm = report.Online.Service.metrics in
         let events = float_of_int warm.Online.Metrics.events in
         let sweeps =
           float_of_int (Online.State.sweeps (Online.Service.live_state live)) /. events

@@ -663,8 +663,7 @@ let online_cmd =
         let config =
           { Online.Service.default_config with policy; validate = check }
         in
-        let report = Online.Service.run ~config ~platform stream in
-        let metrics = report.Online.Service.metrics in
+        let metrics = Online.Service.run ~config ~platform stream in
         if json then
           Printf.printf "{\"policy\":\"%s\",\"metrics\":%s}\n"
             (Online.Policy.name policy)

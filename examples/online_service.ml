@@ -24,9 +24,8 @@ let () =
   List.iter
     (fun policy ->
       let config = { Online.Service.default_config with policy } in
-      let report = Online.Service.run ~config ~platform stream in
+      let metrics = Online.Service.run ~config ~platform stream in
       print_endline
-        (Online.Metrics.render ~label:(Online.Policy.name policy)
-           report.Online.Service.metrics);
+        (Online.Metrics.render ~label:(Online.Policy.name policy) metrics);
       print_newline ())
     Online.Policy.defaults

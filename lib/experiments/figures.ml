@@ -990,8 +990,7 @@ let heavytail ?(config = Runner.default_config) () =
               ~sizes:(Stats.Dist.Pareto { alpha; xm = 1e9 })
               ~scenario ~dataset:Model.Workload.NpbSynth 24
           in
-          let report = Online.Service.run ~platform stream in
-          let m = report.Online.Service.metrics in
+          let m = Online.Service.run ~platform stream in
           [|
             m.Online.Metrics.mean_response; m.Online.Metrics.max_response;
             m.Online.Metrics.mean_stretch; m.Online.Metrics.utilization;

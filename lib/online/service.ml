@@ -7,11 +7,6 @@ type config = {
 let default_config =
   { policy = Policy.Every_event; mode = Incremental.Warm; validate = false }
 
-type report = {
-  metrics : Metrics.t;
-  jobs : State.job list;
-}
-
 type notice =
   | Resolved of { time : float; epoch : int; k : float }
   | Completed of { time : float; id : int }
@@ -37,12 +32,11 @@ let m_queue_depth =
 let m_live_jobs =
   Obs.Metrics.gauge ~help:"live jobs after the last event" "service.live_jobs"
 
-(* Retired-job statistics carried over a {!live_restore}: the retired
-   jobs themselves are not reconstructed (replay is O(live jobs), the
-   whole point of snapshotting), so their contribution to the report
-   enters as sufficient statistics.  The sums are the exact left-fold
-   prefixes of the uncrashed run's folds, so continuing them job by job
-   reproduces the uncrashed metrics bit for bit. *)
+(* Retired-job statistics: no retired job is kept, so each retirement
+   folds its count, response and stretch in here as it happens, in
+   retirement order.  A checkpoint carries the sums, which are exact
+   left-fold prefixes, so a restored instance continuing the fold job by
+   job reproduces the uncrashed metrics bit for bit. *)
 type stats_basis = {
   b_completed : int;
   b_cancelled : int;
@@ -62,15 +56,25 @@ type live = {
   state : State.t;
   engine : Simulator.Engine.t;
   inc : Incremental.t;
-  jobs_by_id : (int, State.job) Hashtbl.t;
+  jobs_by_id : (int, State.job) Hashtbl.t;  (* live jobs only *)
   listener : (notice -> unit) option;
   mutable events_since : int;
   mutable events_handled : int;
   mutable forced : int;
   mutable migrations : int;
   mutable last_k : float option;  (* equalised makespan of the last solve *)
-  mutable basis : stats_basis option;  (* Some after a live_restore *)
+  mutable basis : stats_basis;
 }
+
+let zero_basis =
+  {
+    b_completed = 0;
+    b_cancelled = 0;
+    b_resp_sum = 0.;
+    b_resp_max = neg_infinity;
+    b_str_sum = 0.;
+    b_str_max = neg_infinity;
+  }
 
 let live_create ?(config = default_config) ?listener ~platform () =
   Policy.validate config.policy;
@@ -87,7 +91,7 @@ let live_create ?(config = default_config) ?listener ~platform () =
     forced = 0;
     migrations = 0;
     last_k = None;
-    basis = None;
+    basis = zero_basis;
   }
 
 let live_now lv = Simulator.Engine.now lv.engine
@@ -105,6 +109,26 @@ let last_makespan lv = lv.last_k
 let find_job lv id = Hashtbl.find_opt lv.jobs_by_id id
 
 let notify lv n = match lv.listener with None -> () | Some f -> f n
+
+(* The two retirement points, each folding the job into the basis. *)
+let retire_completed lv j =
+  Hashtbl.remove lv.jobs_by_id (State.id j);
+  let b = lv.basis in
+  let resp = Option.get (State.finish j) -. State.arrival j in
+  let str = resp /. State.alone_time j in
+  lv.basis <-
+    {
+      b with
+      b_completed = b.b_completed + 1;
+      b_resp_sum = b.b_resp_sum +. resp;
+      b_resp_max = Float.max b.b_resp_max resp;
+      b_str_sum = b.b_str_sum +. str;
+      b_str_max = Float.max b.b_str_max str;
+    }
+
+let retire_cancelled lv j =
+  Hashtbl.remove lv.jobs_by_id (State.id j);
+  lv.basis <- { lv.basis with b_cancelled = lv.basis.b_cancelled + 1 }
 
 (* Cheap estimate of the relative makespan damage of not re-solving:
    idle platform fraction plus the queued share of live work.  The idle
@@ -191,6 +215,7 @@ and on_completion lv eng =
   let now = Simulator.Engine.now eng in
   State.advance lv.state ~to_:now;
   State.complete_due lv.state ~eps:completion_eps (fun j ->
+      retire_completed lv j;
       notify lv (Completed { time = now; id = State.id j }));
   lv.events_handled <- lv.events_handled + 1;
   lv.events_since <- lv.events_since + 1;
@@ -233,18 +258,19 @@ let cancel lv ~at ~id =
      departure arrives is not cancelled. *)
   Simulator.Engine.advance_to lv.engine ~to_:at;
   match Hashtbl.find_opt lv.jobs_by_id id with
-  | Some job when State.finish job = None && not (State.cancelled job) ->
+  | Some job ->
     let on = Obs.Probe.on () in
     let sp = if on then Obs.Span.start "service.departure" else Obs.Span.null in
     let t0 = if on then Obs.Clock.now_ns () else 0L in
     State.advance lv.state ~to_:at;
     State.cancel lv.state job;
+    retire_cancelled lv job;
     lv.events_handled <- lv.events_handled + 1;
     lv.events_since <- lv.events_since + 1;
     after_event lv;
     if on then finish_event lv sp t0;
     true
-  | _ -> false
+  | None -> false
 
 let drain_step lv =
   Simulator.Engine.run lv.engine;
@@ -262,82 +288,37 @@ let drain lv =
     ()
   done
 
-let zero_basis =
-  {
-    b_completed = 0;
-    b_cancelled = 0;
-    b_resp_sum = 0.;
-    b_resp_max = neg_infinity;
-    b_str_sum = 0.;
-    b_str_max = neg_infinity;
-  }
-
-(* Retired-job statistics: the restore basis continued by the left fold
-   over the jobs retired since.  With the zero basis (no restore) this is
-   the same addition sequence the pre-snapshot code ran over its arrays,
-   so the refactor is bit-identical for fresh instances; after a restore
-   the basis holds exact prefix sums, so the continued folds equal the
-   uncrashed run's bit for bit. *)
-let merged_stats lv =
-  let b = Option.value ~default:zero_basis lv.basis in
-  let finished = State.finished lv.state in
-  List.fold_left
-    (fun acc j ->
-      match State.finish j with
-      | Some f ->
-        let resp = f -. State.arrival j in
-        let str = resp /. State.alone_time j in
-        {
-          b_completed = acc.b_completed + 1;
-          b_cancelled = acc.b_cancelled;
-          b_resp_sum = acc.b_resp_sum +. resp;
-          b_resp_max = Float.max acc.b_resp_max resp;
-          b_str_sum = acc.b_str_sum +. str;
-          b_str_max = Float.max acc.b_str_max str;
-        }
-      | None -> { acc with b_cancelled = acc.b_cancelled + 1 })
-    b finished
-
 let live_report lv =
-  let finished = State.finished lv.state in
-  let s = merged_stats lv in
-  let basis_retired =
-    match lv.basis with
-    | None -> 0
-    | Some b -> b.b_completed + b.b_cancelled
-  in
+  let s = lv.basis in
   let makespan = State.now lv.state in
   let c = Incremental.counters lv.inc in
-  let metrics =
-    {
-      Metrics.jobs = basis_retired + Hashtbl.length lv.jobs_by_id;
-      completed = s.b_completed;
-      cancelled = s.b_cancelled;
-      events = lv.events_handled;
-      resolves = c.Incremental.resolves;
-      forced_resolves = lv.forced;
-      migrations = lv.migrations;
-      solver_iters = c.Incremental.solver_iters;
-      partition_ops = c.Incremental.partition_ops;
-      warm_hits = c.Incremental.warm_hits;
-      cold_fallbacks = c.Incremental.cold_fallbacks;
-      makespan;
-      mean_response =
-        (if s.b_completed = 0 then 0.
-         else s.b_resp_sum /. float_of_int s.b_completed);
-      max_response = (if s.b_completed = 0 then 0. else s.b_resp_max);
-      mean_stretch =
-        (if s.b_completed = 0 then 0.
-         else s.b_str_sum /. float_of_int s.b_completed);
-      max_stretch = (if s.b_completed = 0 then 0. else s.b_str_max);
-      utilization =
-        (if makespan > 0. then
-           State.busy_integral lv.state
-           /. (lv.platform.Model.Platform.p *. makespan)
-         else 0.);
-    }
-  in
-  { metrics; jobs = finished }
+  {
+    Metrics.jobs = s.b_completed + s.b_cancelled + State.live_count lv.state;
+    completed = s.b_completed;
+    cancelled = s.b_cancelled;
+    events = lv.events_handled;
+    resolves = c.Incremental.resolves;
+    forced_resolves = lv.forced;
+    migrations = lv.migrations;
+    solver_iters = c.Incremental.solver_iters;
+    partition_ops = c.Incremental.partition_ops;
+    warm_hits = c.Incremental.warm_hits;
+    cold_fallbacks = c.Incremental.cold_fallbacks;
+    makespan;
+    mean_response =
+      (if s.b_completed = 0 then 0.
+       else s.b_resp_sum /. float_of_int s.b_completed);
+    max_response = (if s.b_completed = 0 then 0. else s.b_resp_max);
+    mean_stretch =
+      (if s.b_completed = 0 then 0.
+       else s.b_str_sum /. float_of_int s.b_completed);
+    max_stretch = (if s.b_completed = 0 then 0. else s.b_str_max);
+    utilization =
+      (if makespan > 0. then
+         State.busy_integral lv.state
+         /. (lv.platform.Model.Platform.p *. makespan)
+       else 0.);
+  }
 
 (* --- checkpoint / restore ---------------------------------------------- *)
 
@@ -380,7 +361,7 @@ type persist = {
 }
 
 let live_persist lv =
-  let s = merged_stats lv in
+  let s = lv.basis in
   let c = Incremental.counters lv.inc in
   let jobs =
     Array.to_list
@@ -443,15 +424,14 @@ let live_restore ?(config = default_config) ?listener ~platform p =
       migrations = p.p_migrations;
       last_k = p.p_last_k;
       basis =
-        Some
-          {
-            b_completed = p.p_completed;
-            b_cancelled = p.p_cancelled;
-            b_resp_sum = p.p_resp_sum;
-            b_resp_max = p.p_resp_max;
-            b_str_sum = p.p_str_sum;
-            b_str_max = p.p_str_max;
-          };
+        {
+          b_completed = p.p_completed;
+          b_cancelled = p.p_cancelled;
+          b_resp_sum = p.p_resp_sum;
+          b_resp_max = p.p_resp_max;
+          b_str_sum = p.p_str_sum;
+          b_str_max = p.p_str_max;
+        };
     }
   in
   Simulator.Engine.advance_to lv.engine ~to_:p.p_time;

@@ -51,11 +51,6 @@ type config = {
 val default_config : config
 (** [Every_event], [Warm], no validation. *)
 
-type report = {
-  metrics : Metrics.t;
-  jobs : State.job list;   (** All retired jobs, retirement order. *)
-}
-
 type notice =
   | Resolved of { time : float; epoch : int; k : float }
       (** A re-solve committed new allocations; [epoch] is the re-solve
@@ -104,7 +99,9 @@ val pending_events : live -> int
     predicted, else 0.  Read-only, for observability. *)
 
 val find_job : live -> int -> State.job option
-(** Look up any admitted job (live or retired) by its dense id. *)
+(** Look up a live job by its dense id; [None] once it has retired (the
+    instance keeps no retired job — keep the handle {!submit} returns, or
+    watch [Completed] notices, to follow one past retirement). *)
 
 val submit : live -> at:float -> Model.App.t -> State.job
 (** Admit an arrival at model time [at] (clamped to [live_now] if it is
@@ -115,8 +112,9 @@ val cancel : live -> at:float -> id:int -> bool
 (** Cancel job [id] at model time [at].  Completions due before [at]
     fire first, so a job that finishes before its departure arrives is
     not cancelled — exactly the time-ordered replay semantics.  Returns
-    [false] (and changes nothing) when the job is unknown or already
-    retired. *)
+    [false] when no live job has that id (unknown or already retired);
+    the clock then still advances to [at], firing those completions, and
+    nothing else changes. *)
 
 val advance : live -> to_:float -> unit
 (** Move model time forward to [to_] (clamped to [live_now]), firing due
@@ -134,21 +132,24 @@ val drain : live -> unit
 (** {!drain_step} until every admitted job has completed or been
     cancelled. *)
 
-val live_report : live -> report
-(** Metrics and retired jobs so far.  Valid mid-run: [makespan] is the
-    current model time and response/stretch statistics cover the jobs
-    completed so far.  After a {!live_restore}, [jobs] lists only the
-    jobs retired since the restore, but [metrics] covers the whole
-    logical run: pre-checkpoint retirements enter through the restored
-    sufficient statistics (exact left-fold prefixes, so the merged
-    means and maxima equal the uncrashed run's bit for bit). *)
+val live_report : live -> Metrics.t
+(** Metrics so far.  Valid mid-run: [makespan] is the current model time
+    and response/stretch statistics cover the jobs completed so far.
+    Each retirement folds its count, response and stretch into running
+    sums as it happens, in retirement order, so the report costs no walk
+    over retired jobs (only {!State.busy_integral}'s over live ones).
+    After a {!live_restore} the sums continue from the checkpointed
+    ones (exact left-fold prefixes), so the metrics cover the whole
+    logical run and equal the uncrashed run's bit for bit. *)
 
 (** {2 Checkpoint / restore}
 
     {!live_persist} freezes a live instance into a plain {!persist}
     value — every live job with its progress and allocation, the
     engine clock, the pending completion-prediction instant, the policy
-    and re-solver counters, and the retired-job sufficient statistics.
+    and re-solver counters, and the running retired-job sums (no retired
+    job is kept, so a checkpoint's size and cost depend on the live set
+    alone).
     Progress is stored as the state holds it: each remaining fraction
     and the busy integral at the anchor [p_last_solve] (the last
     install), not at [p_time].  {!live_restore} rebuilds a live instance
@@ -217,8 +218,9 @@ type persist = {
 }
 
 val live_persist : live -> persist
-(** Freeze the instance's full logical state.  Cheap — O(live jobs) — and
-    read-only; the instance keeps running. *)
+(** Freeze the instance's full logical state.  Cheap — O(live jobs),
+    however many jobs have retired — and read-only; the instance keeps
+    running. *)
 
 val live_restore :
   ?config:config -> ?listener:(notice -> unit) -> platform:Model.Platform.t ->
@@ -232,7 +234,7 @@ val live_restore :
     [p_last_solve] outside [[0, p_time]]). *)
 
 val run :
-  ?config:config -> platform:Model.Platform.t -> Workload_stream.t -> report
+  ?config:config -> platform:Model.Platform.t -> Workload_stream.t -> Metrics.t
 (** Replay the stream to completion through a fresh live instance (every
     admitted job either completes or is cancelled).  Deterministic: a
     pure function of the platform, stream and config. *)

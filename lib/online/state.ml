@@ -86,7 +86,6 @@ and t = {
   mutable free : int array; (* freelist stack of retired slots *)
   mutable nfree : int;
   mutable hwm : int; (* slots ever allocated *)
-  mutable finished_rev : job list;
   mutable view_slot : int array; (* position -> slot, for {!view} *)
 }
 
@@ -127,7 +126,6 @@ let create platform =
     free = [||];
     nfree = 0;
     hwm = 0;
-    finished_rev = [];
     view_slot = [||];
   }
 
@@ -341,7 +339,7 @@ let add t ~app =
   job
 
 let restore t ~clock ~anchor ~next_id ~busy ~live =
-  if t.nlive > 0 || t.finished_rev <> [] then
+  if t.nlive > 0 || t.next_id > 0 then
     invalid_arg "State.restore: state is not fresh";
   if Float.is_nan clock || clock < 0. then
     invalid_arg "State.restore: bad clock";
@@ -418,22 +416,14 @@ let retire_slot t job ~zero_remaining =
   job.slot <- (-1);
   t.dense_slot.(job.dpos) <- (-1);
   free_slot t s;
-  t.nlive <- t.nlive - 1;
-  t.finished_rev <- job :: t.finished_rev
-
-let retire t job ~zero_remaining =
-  if job.slot < 0 then invalid_arg "State: job is not live";
-  let s = job.slot in
-  retire_slot t job ~zero_remaining;
-  if s = t.next_slot then rescan_next t
-
-let complete t job =
-  retire t job ~zero_remaining:true;
-  job.finish <- Some t.clock
+  t.nlive <- t.nlive - 1
 
 let cancel t job =
-  retire t job ~zero_remaining:false;
-  job.cancelled <- true
+  if job.slot < 0 then invalid_arg "State: job is not live";
+  let s = job.slot in
+  retire_slot t job ~zero_remaining:false;
+  job.cancelled <- true;
+  if s = t.next_slot then rescan_next t
 
 (* A job whose predicted finish is not after the clock completes even
    when rounding left it more than [eps]: the prediction that fired was
@@ -473,7 +463,6 @@ let live t =
     Array.sub t.dense 0 t.nlive
   end
 
-let finished t = List.rev t.finished_rev
 let running t = t.nrunning
 let queued t = t.nqueued
 let next_finish t = t.next_fin
@@ -482,14 +471,6 @@ let remaining_app job =
   if job.finish <> None || job.cancelled then
     invalid_arg "State.remaining_app: job is finished";
   Model.App.with_w job.app (remaining job *. job.app.Model.App.w)
-
-let remaining_time ~platform:_ job =
-  if job.slot < 0 then infinity
-  else begin
-    let c = job.st.cols and s = job.slot in
-    if c.c_procs.(s) <= 0. then infinity
-    else rem_at job.st s *. c.c_exe.(s)
-  end
 
 let demand_summary t =
   t.sweeps <- t.sweeps + 1;

@@ -45,7 +45,8 @@
 type job
 (** A handle on an admitted job: immutable identity plus a slot into the
     live columns.  Handles stay valid after retirement — the accessors
-    below then report the job's final values. *)
+    below then report the job's final values — but the state itself
+    keeps no retired job: whoever needs one keeps its handle. *)
 
 type t
 
@@ -131,7 +132,8 @@ val restore :
     the number of jobs about to be {!inject}ed: the columns and the
     iteration array are sized for them in one step (to the capacity
     doubling would reach), not grown job by job.
-    @raise Invalid_argument if the state already holds jobs, on a
+    @raise Invalid_argument if the state ever admitted a job (live or
+    retired: a nonzero {!next_id} refuses too), on a
     negative/NaN clock, an anchor outside [[0, clock]], a negative
     [next_id] or a negative [live]. *)
 
@@ -154,15 +156,11 @@ val inject : t ->
     the originals).  Does not advance the clock or bump epochs.
     @raise Invalid_argument on a duplicate or out-of-order id. *)
 
-val complete : t -> job -> unit
-(** Mark a job finished at the current time and retire it from the live
-    set.  O(1), except that retiring the job {!next_finish} refers to
-    rescans the live set for the next one.
-    @raise Invalid_argument if the job is not live. *)
-
 val cancel : t -> job -> unit
-(** Retire a live job without completion (an explicit departure); costs
-    as {!complete}. *)
+(** Retire a live job without completion (an explicit departure).  O(1),
+    except that retiring the job {!next_finish} refers to rescans the
+    live set for the next one.
+    @raise Invalid_argument if the job is not live. *)
 
 val complete_due : t -> eps:float -> (job -> unit) -> unit
 (** The completion sweep, one pass over the live set: complete every
@@ -181,9 +179,6 @@ val live : t -> job array
 val live_count : t -> int
 (** Number of live jobs, without materializing them. *)
 
-val finished : t -> job list
-(** Retired jobs (completed and cancelled), in retirement order. *)
-
 val running : t -> int
 (** Live jobs currently holding processors.  O(1): a maintained count. *)
 
@@ -193,12 +188,6 @@ val queued : t -> int
 val remaining_app : job -> Model.App.t
 (** The residual application: [app] with work scaled by the remaining
     fraction.  @raise Invalid_argument on a finished job. *)
-
-val remaining_time : platform:Model.Platform.t -> job -> float
-(** Time to completion under the job's current allocation; [infinity]
-    while queued (and after retirement).  Reads the cached
-    execution-rate column — bit-identical to recomputing
-    {!Model.Exec_model.exe} on the current allocation. *)
 
 val predicted_finish : job -> float
 (** The absolute instant the job completes under its current allocation,

@@ -142,7 +142,7 @@ let app_of_spec (a : app_spec) =
   | app -> Ok app
   | exception Invalid_argument m -> Error (Bad_request, m)
 
-let completed_of lv = (Online.Service.live_report lv).Online.Service.metrics.completed
+let completed_of lv = (Online.Service.live_report lv).Online.Metrics.completed
 
 (* Every journal key is [verb:<seq>:...]; an unparseable second field
    means a foreign/corrupt key, reported as [None] so callers treat the
@@ -387,22 +387,17 @@ let update_shed t =
 
 (* --- request handling --------------------------------------------------- *)
 
+(* Only live jobs are viewed: the core keeps no retired one. *)
 let view_of_job (j : Online.State.job) : job_view =
-  let finish = Online.State.finish j in
-  let state =
-    if Online.State.cancelled j then Cancelled
-    else if finish <> None then Done
-    else if Online.State.procs j > 0. then Running
-    else Queued
-  in
+  let procs = Online.State.procs j in
   {
     job = Online.State.id j;
-    state;
-    procs = Online.State.procs j;
+    state = (if procs > 0. then Running else Queued);
+    procs;
     cache = Online.State.cache j;
     remaining = Online.State.remaining j;
     arrival = Online.State.arrival j;
-    finish;
+    finish = None;
   }
 
 let drain_all t ~journal:write_entry ~sid ~rid =
@@ -506,30 +501,33 @@ let handle t ~clients (req : request) =
               [| t_eff; spec.w; spec.s; spec.f; spec.m0; spec.c0; spec.footprint |];
             let job = Online.Service.submit t.lv ~at:t_eff app in
             R_submitted { job = Online.State.id job })
-      | Cancel id -> (
-        match Online.Service.find_job t.lv id with
-        | None ->
+      | Cancel id ->
+        (* Any id ever admitted is a journalled cancel, live or not: the
+           answer must not depend on whether a restore forgot the job. *)
+        if id < 0 || id >= Online.State.next_id (Online.Service.live_state t.lv)
+        then
           R_error
             {
               code = Unknown_job;
               message = Printf.sprintf "no job with id %d" id;
               retry_after = None;
             }
-        | Some _ ->
+        else begin
           cacheable := true;
           journal_entry t
             (Printf.sprintf "cancel:%d:%s:%d" (next_seq t) (hex_of_sid req.sid)
                req.rid)
             [| t_eff; float_of_int id |];
           let was_live = Online.Service.cancel t.lv ~at:t_eff ~id in
-          R_cancelled { job = id; was_live })
+          R_cancelled { job = id; was_live }
+        end
       | Query q -> (
         advance_to_eff ();
         let state = Online.Service.live_state t.lv in
         match q with
         | Stats ->
-          let report = Online.Service.live_report t.lv in
-          R_stats { time = now t; clients; metrics = report.metrics }
+          R_stats
+            { time = now t; clients; metrics = Online.Service.live_report t.lv }
         | Status ->
           update_shed t;
           R_status

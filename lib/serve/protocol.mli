@@ -55,7 +55,9 @@ type error_code =
   | Unsupported_version   (** ["v"] field present but not {!version}. *)
   | Overload              (** Admission control: queue depth exceeded. *)
   | Draining              (** Daemon is shutting down; no new work. *)
-  | Unknown_job           (** No job with that id. *)
+  | Unknown_job           (** No such job: a [job] query for an id that
+                              is not live, or a [cancel] for an id never
+                              admitted. *)
   | Timeout               (** Deadline elapsed (slow client / drain). *)
   | Internal              (** Daemon-side invariant failure. *)
 (** Structured failure taxonomy carried by error replies. *)
@@ -67,7 +69,9 @@ val error_code_of_name : string -> error_code option
 (** Inverse of {!error_code_name}; [None] on unknown names. *)
 
 type job_state = Queued | Running | Done | Cancelled
-(** Lifecycle of a job as seen through query replies. *)
+(** Lifecycle of a job.  Query replies view live jobs only, so the
+    daemon sends [Queued] and [Running]; [Done] and [Cancelled] stay in
+    the wire grammar for clients that decode them. *)
 
 val job_state_name : job_state -> string
 (** Stable wire name of a state. *)
@@ -84,14 +88,17 @@ type job_view = {
   arrival : float;        (** Model time the job was admitted. *)
   finish : float option;  (** Completion time once [Done]. *)
 }
-(** Snapshot of one job, as returned by [Query (Job _)] and [Query Allocs]. *)
+(** Snapshot of one live job, as returned by [Query (Job _)] and
+    [Query Allocs]. *)
 
 type reply =
   | R_submitted of { job : int }
       (** Job admitted under this id. *)
   | R_cancelled of { job : int; was_live : bool }
-      (** Cancel processed; [was_live] is false if the job had already
-          finished (or never ran) by the effective cancel time. *)
+      (** Cancel of an admitted id processed (and journalled);
+          [was_live] is false if the job had already completed or been
+          cancelled by the effective cancel time — the same answer
+          before and after a restart. *)
   | R_job of job_view
       (** Answer to [Query (Job _)]. *)
   | R_stats of { time : float; clients : int; metrics : Online.Metrics.t }

@@ -15,7 +15,7 @@ let () =
   in
   let trace = "obs_smoke.trace.json" in
   ignore (Obs.Report.configure ~trace () : bool);
-  let report = Online.Service.run ~platform stream in
+  let m = Online.Service.run ~platform stream in
   Obs.Report.finish ~trace ~out:print_string ();
   (* Re-validate the file actually on disk, not just the in-memory
      rendering [finish] checked before writing. *)
@@ -36,7 +36,6 @@ let () =
     with Failure m -> die "obs_smoke: invalid prometheus exposition: %s" m
   in
   if samples = 0 then die "obs_smoke: prometheus exposition has no samples";
-  let m = report.Online.Service.metrics in
   if m.Online.Metrics.events = 0 then die "obs_smoke: service handled no events";
   if m.Online.Metrics.completed = 0 then die "obs_smoke: no jobs completed";
   Printf.printf

@@ -16,8 +16,7 @@ let () =
       let config =
         { Online.Service.default_config with policy; validate = true }
       in
-      let report = Online.Service.run ~config ~platform stream in
-      let m = report.Online.Service.metrics in
+      let m = Online.Service.run ~config ~platform stream in
       if m.Online.Metrics.completed <> Online.Workload_stream.arrivals stream
       then
         failwith

@@ -130,7 +130,7 @@ let qcheck_service_bit_identical_and_reproducible =
       let w2 = Obs.Probe.with_disabled (fun () -> words_of run) in
       let r_on = Obs.Probe.with_enabled run in
       w1 = w2
-      && r_off.Online.Service.metrics = r_on.Online.Service.metrics)
+      && r_off = r_on)
 
 (* --- span nesting under arbitrary interleavings ------------------------ *)
 

@@ -133,7 +133,7 @@ let state_integrates_progress () =
   Online.State.advance state ~to_:(0.25 *. exe);
   check_float "quarter done" 0.75 (Online.State.remaining job);
   check_float "remaining time" (0.75 *. exe)
-    (Online.State.remaining_time ~platform job);
+    (Online.State.predicted_finish job -. Online.State.now state);
   Online.State.advance state ~to_:exe;
   Alcotest.(check bool) "done" true (Online.State.remaining job <= 1e-9);
   check_float "busy integral" (platform.Model.Platform.p *. exe)
@@ -152,13 +152,46 @@ let state_lifecycle () =
          { Model.Schedule.procs = 0.; cache = 0. };
        |]);
   Alcotest.(check int) "two running" 2 (Online.State.running state);
-  Online.State.complete state jobs.(0);
   Online.State.cancel state jobs.(2);
+  (* Job 1 finishes first: the sweep at its predicted finish retires it
+     alone. *)
+  let fin1 = Online.State.predicted_finish jobs.(1) in
+  Alcotest.(check bool) "job 1 finishes first" true
+    (fin1 < Online.State.predicted_finish jobs.(0));
+  Online.State.advance state ~to_:fin1;
+  let swept = ref [] in
+  Online.State.complete_due state ~eps:1e-9 (fun j -> swept := j :: !swept);
+  Alcotest.(check (list int)) "the sweep completes job 1" [ 1 ]
+    (List.map Online.State.id !swept);
   Alcotest.(check int) "one live" 1 (Array.length (Online.State.live state));
-  Alcotest.(check bool) "finish recorded" true (Online.State.finish jobs.(0) <> None);
+  Alcotest.(check bool) "finish recorded" true
+    (Online.State.finish jobs.(1) = Some fin1);
   Alcotest.(check bool) "cancel recorded" true (Online.State.cancelled jobs.(2));
-  Alcotest.(check int) "retired in order" 2
-    (List.length (Online.State.finished state))
+  Alcotest.(check int) "two retired" 2
+    (List.length
+       (List.filter
+          (fun j -> Online.State.finish j <> None || Online.State.cancelled j)
+          (Array.to_list jobs)))
+
+(* A checkpoint restores into a state that never admitted a job: one
+   holding a live job is refused, and so is one whose every job has
+   already retired (it has nothing live, but ids and clock are taken). *)
+let state_restore_needs_fresh () =
+  let apps = synth ~seed:5 1 in
+  let restore st =
+    match Online.State.restore st ~clock:0. ~anchor:0. ~next_id:0 ~busy:0. ~live:0 with
+    | () -> true
+    | exception Invalid_argument _ -> false
+  in
+  Alcotest.(check bool) "a fresh state restores" true
+    (restore (Online.State.create platform));
+  let st = Online.State.create platform in
+  let job = Online.State.add st ~app:apps.(0) in
+  Alcotest.(check bool) "a state holding a job is refused" false (restore st);
+  Online.State.cancel st job;
+  Alcotest.(check int) "nothing live" 0 (Online.State.live_count st);
+  Alcotest.(check bool) "a state whose jobs all retired is refused" false
+    (restore st)
 
 let state_counts_migrations () =
   let state = Online.State.create platform in
@@ -288,7 +321,7 @@ let replay ?(platform = platform) ~policy ~on_resolve stream =
       | Departure id -> ignore (Online.Service.cancel live ~at:time ~id : bool))
     (Online.Workload_stream.events stream);
   Online.Service.drain live;
-  (Online.Service.live_report live).Online.Service.metrics
+  Online.Service.live_report live
 
 (* The cold oracle of one warm re-solve: [Oracle.Cold.solve] on the
    residual instance the service just solved, compared with what the
@@ -320,8 +353,7 @@ let service_completes_all_jobs () =
   let stream = stream_of ~seed:21 ~load:4. 20 in
   List.iter
     (fun policy ->
-      let report = run_service ~policy stream in
-      let m = report.Online.Service.metrics in
+      let m = run_service ~policy stream in
       Alcotest.(check int)
         (Online.Policy.name policy ^ " completes everything")
         20 m.Online.Metrics.completed;
@@ -348,17 +380,13 @@ let service_handles_departures () =
         { Online.Workload_stream.time = 0.3 *. exe0; kind = Departure 1 };
       ]
   in
-  let report = run_service ~policy:Online.Policy.Every_event stream in
-  let m = report.Online.Service.metrics in
+  let m = run_service ~policy:Online.Policy.Every_event stream in
   Alcotest.(check int) "two complete" 2 m.Online.Metrics.completed;
   Alcotest.(check int) "one cancelled" 1 m.Online.Metrics.cancelled
 
 let service_deterministic () =
   let stream = stream_of ~seed:23 ~load:4. 15 in
-  let run () =
-    (run_service ~policy:(Online.Policy.Batched 3) stream)
-      .Online.Service.metrics
-  in
+  let run () = run_service ~policy:(Online.Policy.Batched 3) stream in
   Alcotest.(check bool) "bit-identical metrics" true (run () = run ())
 
 (* The headline property: warm-started re-solves change nothing but the
@@ -520,7 +548,8 @@ let gen_ops ~pings =
 let policies = [ Online.Policy.Every_event; Batched 4; Threshold 0.1 ]
 
 (* Replay [ops] through the service and the oracle, comparing every
-   admitted job after each operation and after the drain.  [exact]
+   admitted job after each operation and after the drain (through the
+   handles [submit] returned, which outlive retirement).  [exact]
    demands equal bits, otherwise 1e-9 relative (absolute below 1); the
    retired sets (which jobs completed, which were cancelled) and the
    re-solve count must match either way. *)
@@ -532,13 +561,14 @@ let agrees_with_oracle ~exact ~seed ~policy ops =
   let config = { Online.Service.default_config with policy } in
   let lv = Online.Service.live_create ~config ~platform () in
   let o = Oracle.Flat.create ~platform policy in
+  let handles = Hashtbl.create 64 in
   let same a b = if exact then a = b else rel_close a b in
   let check what =
     let admitted = List.length o.Oracle.Flat.o_jobs in
     Online.Service.live_epoch lv = o.o_resolves
     && List.for_all
          (fun id ->
-           match Online.Service.find_job lv id with
+           match Hashtbl.find_opt handles id with
            | None -> false
            | Some j ->
              let oj = List.nth o.o_jobs id in
@@ -564,7 +594,8 @@ let agrees_with_oracle ~exact ~seed ~policy ops =
       let admitted = List.length o.o_jobs in
       (match op with
       | Submit i ->
-        ignore (Online.Service.submit lv ~at:!t apps.(i) : Online.State.job);
+        let j = Online.Service.submit lv ~at:!t apps.(i) in
+        Hashtbl.replace handles (Online.State.id j) j;
         Oracle.Flat.submit o ~at:!t apps.(i)
       | Cancel i when admitted > 0 ->
         let id = i mod admitted in
@@ -579,7 +610,7 @@ let agrees_with_oracle ~exact ~seed ~policy ops =
   && begin
        Online.Service.drain lv;
        Oracle.Flat.drain o;
-       let m = (Online.Service.live_report lv).Online.Service.metrics in
+       let m = Online.Service.live_report lv in
        check "drain"
        && rel_close m.Online.Metrics.utilization
             (if o.o_clock > 0. then o.o_busy /. (platform.Model.Platform.p *. o.o_clock)
@@ -630,7 +661,7 @@ let one_pending_prediction () =
     worst := max !worst (Online.Service.pending_events lv)
   done;
   Alcotest.(check int) "nothing completed" 0
-    (Online.Service.live_report lv).Online.Service.metrics.Online.Metrics.completed;
+    (Online.Service.live_report lv).Online.Metrics.completed;
   Alcotest.(check int) "at most one pending prediction" 1 !worst;
   Alcotest.(check int) "one pending now" 1 (Online.Service.pending_events lv)
 
@@ -695,6 +726,7 @@ let () =
           test "integrates progress" state_integrates_progress;
           test "job lifecycle" state_lifecycle;
           test "counts migrations" state_counts_migrations;
+          test "restore needs a fresh state" state_restore_needs_fresh;
           test "detects oversubscription" state_detects_oversubscription;
           test "freelist and compaction invariants" state_freelist_and_compaction;
         ] );

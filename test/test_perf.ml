@@ -19,7 +19,9 @@
    - the optimized refinement tracks the oracle library's naive
      reference and never degrades its starting point;
    - an online event that neither re-solves nor completes a job walks
-     the live set zero times ([State.sweeps] counts every walk). *)
+     the live set zero times ([State.sweeps] counts every walk);
+   - a retired job leaves nothing behind: checkpoint work and live heap
+     words do not grow with the number of jobs retired. *)
 
 let test name f = Alcotest.test_case name `Quick f
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -466,6 +468,62 @@ let selection_is_linear_under_churn () =
     (Printf.sprintf "%d evictions across the re-solves" !evicted)
     true (!evicted > 0)
 
+(* --- bounded state: a retired job leaves nothing behind ----------------- *)
+
+(* The counted twin of a long-running daemon: [bounded_live] live jobs
+   under Batched 16 and cancel-oldest/submit churn (model time moves by a
+   sliver, so every retirement is a cancel), read after 10^4 and again
+   after 10^5 retirements.  Each retirement is folded into running sums
+   as it happens and nothing keeps the job, so at both points one
+   checkpoint ([live_persist]) allocates the same minor words and the
+   heap left after [Gc.compact] holds the same live words (the slack
+   covers a one-off drift of about a hundred words between the two
+   reads).  Keeping the retired jobs instead costs about 28 heap words
+   each, and a checkpoint that re-folds them ten words each: the 90 000
+   retirements between the reads would show as some 2.5 million heap
+   words and 900 000 checkpoint words. *)
+let bounded_live = 100
+let bounded_persist_slack = 0.
+let bounded_heap_slack = 256
+
+let retirement_leaves_nothing_behind () =
+  let config =
+    { Online.Service.default_config with policy = Online.Policy.Batched 16 }
+  in
+  let apps = synth ~seed:75 bounded_live in
+  let lv = Online.Service.live_create ~config ~platform () in
+  Array.iter (fun a -> ignore (Online.Service.submit lv ~at:0. a : Online.State.job)) apps;
+  let dt = Option.get (Online.Service.last_makespan lv) *. 1e-9 in
+  let retired = ref 0 in
+  let retire_until n =
+    while !retired < n do
+      let at = Online.Service.live_now lv +. dt in
+      if not (Online.Service.cancel lv ~at ~id:!retired) then
+        Alcotest.failf "job %d was not live" !retired;
+      ignore
+        (Online.Service.submit lv ~at:(at +. dt) apps.(!retired mod bounded_live)
+          : Online.State.job);
+      incr retired
+    done
+  in
+  let measure n =
+    retire_until n;
+    let w0 = Gc.minor_words () in
+    let p = Online.Service.live_persist lv in
+    let words = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity p);
+    Gc.compact ();
+    (words, (Gc.stat ()).Gc.live_words)
+  in
+  let w4, h4 = measure 10_000 in
+  let w5, h5 = measure 100_000 in
+  Alcotest.(check int) "live set held" bounded_live
+    (Online.State.live_count (Online.Service.live_state lv));
+  if Float.abs (w5 -. w4) > bounded_persist_slack then
+    Alcotest.failf "live_persist: %.0f minor words at 10^4 retired, %.0f at 10^5" w4 w5;
+  if abs (h5 - h4) > bounded_heap_slack then
+    Alcotest.failf "live heap: %d words at 10^4 retired, %d at 10^5" h4 h5
+
 let () =
   Alcotest.run "perf"
     [
@@ -500,5 +558,6 @@ let () =
         [
           test "plain events walk nothing" plain_events_sweep_nothing;
           test "selection is linear under churn" selection_is_linear_under_churn;
+          test "retired jobs leave no state behind" retirement_leaves_nothing_behind;
         ] );
     ]

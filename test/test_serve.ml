@@ -777,6 +777,48 @@ let backend_snapshot_every_triggers () =
     (allocs_payload b2);
   cleanup_snapshot_paths j s
 
+(* The core keeps no retired job, so a retired id must get the same
+   answer whether or not a restore came between: [cancel] is a
+   journalled no-op answering [was_live = false], a [job] query answers
+   [Unknown_job].  Job 0 completes and job 1 is cancelled before the
+   checkpoint; the restored backend has never seen either. *)
+let backend_retired_ids_answer_alike_after_restore () =
+  let j, s = fresh_snapshot_paths "serve_retired_ids" in
+  let b1 = sbackend ~journal:j ~snapshot:s () in
+  let apps = synth ~seed:27 3 in
+  let alone =
+    Model.Exec_model.exe ~app:apps.(0) ~platform ~p:platform.Model.Platform.p
+      ~x:1.
+  in
+  let handle b r = Backend.handle b ~clients:1 r in
+  ignore (handle b1 (req (Submit (spec_of_app apps.(0)))));
+  ignore (handle b1 (req (Submit (spec_of_app apps.(1)))));
+  ignore (handle b1 (req ~at:1. (Cancel 1)));
+  (* Alone on the platform from t = 1, job 0 is done by 1 + alone. *)
+  ignore (handle b1 (req ~at:(2. +. alone) (Submit (spec_of_app apps.(2)))));
+  (match (handle b1 (req (Query Stats))).reply with
+  | R_stats { metrics; _ } ->
+    Alcotest.(check int) "one completed" 1 metrics.Online.Metrics.completed;
+    Alcotest.(check int) "one cancelled" 1 metrics.Online.Metrics.cancelled
+  | _ -> Alcotest.fail "stats failed");
+  (match Backend.snapshot_now b1 with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("snapshot failed: " ^ m));
+  let queries = [ Protocol.Cancel 0; Query (Job 0); Cancel 1; Query (Job 1) ] in
+  let ask b = List.map (fun v -> Protocol.encode_response (handle b (req v))) queries in
+  let before = ask b1 in
+  (match (handle b1 (req (Cancel 0))).reply with
+  | R_cancelled { was_live = false; _ } -> ()
+  | _ -> Alcotest.fail "cancel of a retired id: expected was_live = false");
+  let b2 = sbackend ~journal:j ~snapshot:s () in
+  Alcotest.(check int) "restored from the snapshot, one live job" 1
+    (Backend.live_jobs b2);
+  Alcotest.(check int) "replayed only the post-snapshot cancels" 3
+    (Backend.recovered b2);
+  Alcotest.(check (list string)) "identical replies after the restore" before
+    (ask b2);
+  cleanup_snapshot_paths j s
+
 let backend_torn_snapshot_write_keeps_journal () =
   let j, s = fresh_snapshot_paths "serve_snap_torn_write" in
   let b1 = sbackend ~journal:j ~snapshot:s () in
@@ -1805,7 +1847,7 @@ let qcheck_chaotic_retries_equal_offline =
       match (send (Query Stats)).reply with
       | R_stats { metrics; _ } ->
         let served = Online.Metrics.to_json metrics in
-        let off = Online.Metrics.to_json offline.Online.Service.metrics in
+        let off = Online.Metrics.to_json offline in
         if served <> off then
           QCheck.Test.fail_reportf
             "under chaos seed %d (%d faults injected):@.served  %s@.offline %s"
@@ -1877,7 +1919,7 @@ let qcheck_backend_equals_offline_service =
       match (Backend.handle b ~clients:1 (req (Query Stats))).reply with
       | R_stats { metrics; _ } ->
         let served = Online.Metrics.to_json metrics in
-        let off = Online.Metrics.to_json offline.Online.Service.metrics in
+        let off = Online.Metrics.to_json offline in
         if served <> off then
           QCheck.Test.fail_reportf "served %s@.offline %s" served off
         else true
@@ -1948,6 +1990,8 @@ let () =
             backend_snapshot_watermark_replay;
           test "snapshot_every triggers automatic checkpoints"
             backend_snapshot_every_triggers;
+          test "retired ids answer alike before and after a restore"
+            backend_retired_ids_answer_alike_after_restore;
           test "torn snapshot write never compacts"
             backend_torn_snapshot_write_keeps_journal;
           test "a removed snapshot directory fails checkpoints, not requests"

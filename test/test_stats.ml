@@ -426,9 +426,20 @@ let sojourn_acceptance () =
      previous clock value. *)
   let arrivals = Array.mapi (fun i _ -> if i = 0 then 0. else times.(i - 1)) ws in
   let stream = Online.Workload_stream.of_arrivals ~apps arrivals in
-  let report = Online.Service.run ~platform stream in
+  (* [Online.Service.run], keeping the handles [submit] returns: the
+     service keeps no retired job, a handle reads its final values. *)
+  let lv = Online.Service.live_create ~platform () in
+  let jobs =
+    List.map
+      (fun { Online.Workload_stream.time; kind } ->
+        match kind with
+        | Online.Workload_stream.Arrival app -> Online.Service.submit lv ~at:time app
+        | Departure _ -> assert false)
+      (Online.Workload_stream.events stream)
+  in
+  Online.Service.drain lv;
   let responses =
-    report.Online.Service.jobs
+    jobs
     |> List.filter_map (fun j ->
            match Online.State.finish j with
            | Some f -> Some (f -. Online.State.arrival j)
